@@ -97,8 +97,10 @@ let run_pattern ~n ~queries pattern =
   let doc = Dom.document root in
   let ldoc = Labeled_doc.of_document ~params:Params.fig2 doc in
   let counters = Counters.create () in
-  (* Enough buffer pool for the whole store: eviction scans inside the
-     measured window would distort both time and allocation counts. *)
+  (* Enough buffer pool for the whole store, so the timed plans measure
+     join work rather than page misses.  (Eviction itself is O(1) and
+     allocation-free; test_columnar checks the hot plan under a
+     thrashing pool.) *)
   let pager = Pager.create ~capacity:(max 256 (n / 4)) counters in
   let store = Shredder.shred_label pager ~rows_per_page:16 ldoc in
   let sync = Label_sync.create pager store ldoc in

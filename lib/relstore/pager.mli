@@ -6,7 +6,14 @@
     that misses the pool counts as one [page_read] on the shared
     {!Ltree_metrics.Counters.t}.  Nothing is actually written to disk —
     the simulator is deterministic and measures exactly what the paper's
-    cost model talks about. *)
+    cost model talks about.
+
+    The pool is an exact LRU over [capacity] preallocated frames threaded
+    into one recency list: a hit moves its frame to the head, a miss at
+    capacity writes back and reuses the tail frame.  Every touch is O(1)
+    and allocation-free, hit or miss.  A dirty page is always resident
+    (leaving the pool writes it back), so the dirty bit lives on the
+    frame and {!flush_dirty}/{!flush} cost O(capacity), not O(pages). *)
 
 type t
 
@@ -22,10 +29,11 @@ val counters : t -> Ltree_metrics.Counters.t
     write-back (at eviction or {!flush_dirty}) counts one
     [page_write].
 
-    Residency is tracked in dense per-table page maps (untagged-int
-    columns), so a touch costs two array loads and a store — no hashing
-    and no allocation, which keeps the row fetches of the R9-audited
-    query emit path on the zero-alloc spine. *)
+    A touch is a page-map lookup (dense per-table untagged-int columns)
+    plus a constant number of frame-list relinks — no hashing, no scan
+    and no allocation even on a miss that evicts, which keeps the row
+    fetches of the R9-audited query emit path on the zero-alloc spine
+    when the pool thrashes. *)
 val touch : ?write:bool -> t -> table:int -> page:int -> unit
 
 (** [touch_read t ~table ~page] is [touch ~write:false], shaped for the

@@ -232,6 +232,54 @@ let columnar_matches_baseline =
       done;
       !ok)
 
+(* {1 The hot plan stays allocation-free when the pool thrashes}
+
+   A 4-page pool over a store of hundreds of pages: nearly every row
+   fetch of the hot plan misses and evicts.  Same rule as
+   bench/exp_query.ml: floor-calibrate [Gc.minor_words] (reading it
+   boxes a float), then fail at >= 1 minor word per query, averaged. *)
+
+let minor_floor () =
+  let best = ref infinity in
+  for _ = 1 to 10 do
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    best := Float.min !best (b -. a)
+  done;
+  !best
+
+let hot_plan_zero_alloc_thrashing () =
+  let ldoc = Labeled_doc.of_document (Xml_gen.xmark ~seed:7 ~scale:1.0 ()) in
+  let counters = Counters.create () in
+  let pager = Pager.create ~capacity:4 counters in
+  let store = Shredder.shred_label pager ~rows_per_page:8 ldoc in
+  let pages = Rel_table.pages store.Shredder.label_table in
+  Alcotest.(check bool)
+    (Printf.sprintf "store of %d pages dwarfs the pool" pages)
+    true (pages >= 200);
+  let query () =
+    Query.label_descendants_hot pager store ~anc:"site" ~desc:"#text"
+  in
+  (* Warm-up: materialize the index entries and size the workspace. *)
+  let matched = Column.length (query ()) in
+  Alcotest.(check bool) "query matches rows" true (matched > 100);
+  let queries = 50 in
+  let floor = minor_floor () in
+  let reads0 = Counters.page_reads counters in
+  let mw0 = Gc.minor_words () in
+  for _ = 1 to queries do
+    ignore (Sys.opaque_identity (query ()))
+  done;
+  let mw1 = Gc.minor_words () in
+  let misses = (Counters.page_reads counters - reads0) / queries in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d misses per query: the pool thrashes" misses)
+    true (misses >= 100);
+  let per_query = (mw1 -. mw0 -. floor) /. float_of_int queries in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per query < 1" per_query)
+    true (per_query < 1.)
+
 (* {1 Snapshot refresh reuses untouched slices} *)
 
 let refresh_reuses_slices () =
@@ -280,4 +328,6 @@ let suite =
       case "upper_bound matches linear scan" `Quick upper_bound_matches_linear;
       case "snapshot refresh reuses untouched slices" `Quick
         refresh_reuses_slices;
+      case "hot plan allocation-free under a thrashing pool" `Quick
+        hot_plan_zero_alloc_thrashing;
       QCheck_alcotest.to_alcotest columnar_matches_baseline ] )

@@ -465,12 +465,131 @@ let flush_after_evict () =
   Alcotest.(check int) "write count unchanged" 2
     (Counters.page_writes counters)
 
+(* {1 Differential: Pager against a naive LRU model}
+
+   The oracle shares no code with [Pager]: the pool is a list of
+   [(table, page, dirty)] in recency order, most recent first; a miss
+   at capacity drops the last entry, writing it back when dirty. *)
+
+type model = {
+  m_cap : int;
+  mutable m_pool : (int * int * bool) list;
+  mutable m_reads : int;
+  mutable m_writes : int;
+}
+
+let model_touch m ~write table page =
+  let here (t, p, _) = t = table && p = page in
+  let rest, dirty =
+    match List.find_opt here m.m_pool with
+    | Some (_, _, d) -> (List.filter (fun e -> not (here e)) m.m_pool, d)
+    | None ->
+      m.m_reads <- m.m_reads + 1;
+      if List.length m.m_pool < m.m_cap then (m.m_pool, false)
+      else
+        (match List.rev m.m_pool with
+         | (_, _, d) :: older ->
+           if d then m.m_writes <- m.m_writes + 1;
+           (List.rev older, false)
+         | [] -> ([], false))
+  in
+  m.m_pool <- (table, page, dirty || write) :: rest
+
+let model_dirty m = List.length (List.filter (fun (_, _, d) -> d) m.m_pool)
+
+let model_flush_dirty m =
+  let n = model_dirty m in
+  m.m_writes <- m.m_writes + n;
+  m.m_pool <- List.map (fun (t, p, _) -> (t, p, false)) m.m_pool;
+  n
+
+type pager_op =
+  | Read of int * int  (* [touch_read] *)
+  | Touch of int * int  (* [touch], default [~write] *)
+  | Write of int * int  (* [touch ~write:true] *)
+  | Flush_dirty
+  | Flush
+
+let show_op = function
+  | Read (t, p) -> Printf.sprintf "R%d.%d" t p
+  | Touch (t, p) -> Printf.sprintf "T%d.%d" t p
+  | Write (t, p) -> Printf.sprintf "W%d.%d" t p
+  | Flush_dirty -> "FD"
+  | Flush -> "F"
+
+(* Pages range a little past the capacity so traces mix hits, clean and
+   dirty evictions across tables. *)
+let trace_gen =
+  QCheck.Gen.(
+    int_range 1 40 >>= fun cap ->
+    int_range 1 4 >>= fun tables ->
+    let page = pair (int_bound (tables - 1)) (int_bound (cap + cap / 2 + 2)) in
+    let op =
+      frequency
+        [ (12, map (fun (t, p) -> Read (t, p)) page);
+          (4, map (fun (t, p) -> Touch (t, p)) page);
+          (8, map (fun (t, p) -> Write (t, p)) page);
+          (2, return Flush_dirty);
+          (1, return Flush) ]
+    in
+    list_size (int_range 0 400) op >|= fun ops -> (cap, tables, ops))
+
+let pager_matches_lru_model =
+  QCheck.Test.make ~count:300 ~name:"pager matches a naive LRU model"
+    (QCheck.make
+       ~print:(fun (cap, tables, ops) ->
+         Printf.sprintf "capacity %d, %d tables: %s" cap tables
+           (String.concat " " (List.map show_op ops)))
+       trace_gen)
+    (fun (cap, tables, ops) ->
+      let counters = Counters.create () in
+      let pager = Pager.create ~capacity:cap counters in
+      let ids = Array.init tables (fun _ -> Pager.fresh_table_id pager) in
+      let m = { m_cap = cap; m_pool = []; m_reads = 0; m_writes = 0 } in
+      List.iteri
+        (fun step op ->
+          let flushed =
+            match op with
+            | Read (t, p) ->
+              Pager.touch_read pager ~table:ids.(t) ~page:p;
+              model_touch m ~write:false t p;
+              None
+            | Touch (t, p) ->
+              Pager.touch pager ~table:ids.(t) ~page:p;
+              model_touch m ~write:false t p;
+              None
+            | Write (t, p) ->
+              Pager.touch ~write:true pager ~table:ids.(t) ~page:p;
+              model_touch m ~write:true t p;
+              None
+            | Flush_dirty ->
+              Some (Pager.flush_dirty pager, model_flush_dirty m)
+            | Flush ->
+              Pager.flush pager;
+              ignore (model_flush_dirty m);
+              m.m_pool <- [];
+              None
+          in
+          let check what got want =
+            if got <> want then
+              QCheck.Test.fail_reportf "step %d (%s): %s = %d, model %d" step
+                (show_op op) what got want
+          in
+          Option.iter (fun (got, want) -> check "flush_dirty" got want) flushed;
+          check "page_reads" (Counters.page_reads counters) m.m_reads;
+          check "page_writes" (Counters.page_writes counters) m.m_writes;
+          check "resident" (Pager.resident pager) (List.length m.m_pool);
+          check "dirty" (Pager.dirty pager) (model_dirty m))
+        ops;
+      true)
+
 let suite =
   ( "relstore",
     [ case "pager LRU accounting" `Quick pager_counts;
       case "pager write-back accounting" `Quick pager_write_back;
       case "flush after evict writes each page once" `Quick
         flush_after_evict;
+      QCheck_alcotest.to_alcotest pager_matches_lru_model;
       case "heap table paging" `Quick table_paging;
       case "rel_table set" `Quick table_set;
       case "descendant plans agree" `Quick plans_agree;
