@@ -86,9 +86,14 @@ let register_telemetry t =
   reg "durable_last_seq" "journal sequence applied by the durable twin"
     (fun () -> float_of_int (Durable_doc.last_seq t.durable))
 
+(* The last two cover the label engine's other two paths: a positional
+   step (grouped per context) and a one-step predicate path (a batch
+   semi-join over the step output). *)
 let queries =
   [ "site//item/name"; "//person[address/city]"; "//patch";
-    "//open_auction[bidder]/itemref"; "//item/following-sibling::item" ]
+    "//open_auction[bidder]/itemref"; "//item/following-sibling::item";
+    "//open_auction/bidder[last()]/increase";
+    "//person[descendant::city]/name" ]
 
 (* {1 Invariants} *)
 

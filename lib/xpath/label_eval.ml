@@ -12,16 +12,24 @@ let max : int -> int -> int = Stdlib.max
 
 type item = { node : Dom.node; start_pos : int; end_pos : int; level : int }
 
+(* One node test's nodes, plus their items sorted by start label, valid
+   while [stamp] matches the document's {!Labeled_doc.version}: any label
+   mutation bumps the version and every entry lapses at once, so queries
+   between updates sort each tag at most once instead of on every step. *)
+type entry = {
+  mutable nodes : Dom.node list; (* reverse document order at build *)
+  mutable sorted : item array;
+  mutable stamp : int;
+}
+
 type t = {
   ldoc : Labeled_doc.t;
-  mutable by_name : (string, Dom.node list) Hashtbl.t;
-  mutable elements : Dom.node list; (* reverse document order at build *)
-  mutable texts : Dom.node list;
-  cache : (string, item array) Hashtbl.t;
-      (* per-test sorted item arrays, valid while [cache_version] matches
-         the document's mutation stamp *)
-  mutable cache_version : int;
+  mutable by_name : (string, entry) Hashtbl.t;
+  mutable elements : entry;
+  mutable texts : entry;
 }
+
+let entry nodes = { nodes; sorted = [||]; stamp = -1 }
 
 let build_index t =
   let by_name = Hashtbl.create 64 in
@@ -33,20 +41,18 @@ let build_index t =
          match Dom.kind n with
          | Dom.Element name ->
            elements := n :: !elements;
-           Hashtbl.replace by_name name
-             (n :: Option.value ~default:[] (Hashtbl.find_opt by_name name))
+           (match Hashtbl.find by_name name with
+            | e -> e.nodes <- n :: e.nodes
+            | exception Not_found -> Hashtbl.replace by_name name (entry [ n ]))
          | Dom.Text _ -> texts := n :: !texts
          | Dom.Comment _ | Dom.Pi _ -> ()));
   t.by_name <- by_name;
-  t.elements <- !elements;
-  t.texts <- !texts;
-  Hashtbl.reset t.cache;
-  t.cache_version <- Labeled_doc.version t.ldoc
+  t.elements <- entry !elements;
+  t.texts <- entry !texts
 
 let create ldoc =
   let t =
-    { ldoc; by_name = Hashtbl.create 1; elements = []; texts = [];
-      cache = Hashtbl.create 16; cache_version = -1 }
+    { ldoc; by_name = Hashtbl.create 1; elements = entry []; texts = entry [] }
   in
   build_index t;
   t
@@ -64,40 +70,28 @@ let item_of t node =
   end
   else None
 
-(* The sorted candidate arrays are memoized per node test, stamped with
-   {!Labeled_doc.version}: any label mutation bumps the stamp and the
-   whole generation of arrays lapses at once, so queries between updates
-   sort each tag at most once instead of on every step. *)
-let cache_key (test : Ast.test) =
-  match test with
-  | Ast.Name n -> "n:" ^ n
-  | Ast.Wildcard -> "*"
-  | Ast.Text_node -> "#text"
-
-let nodes_of_test t (test : Ast.test) =
-  match test with
-  | Ast.Name n -> Option.value ~default:[] (Hashtbl.find_opt t.by_name n)
-  | Ast.Wildcard -> t.elements
-  | Ast.Text_node -> t.texts
-
-(* Fresh labels for the test's nodes, deleted nodes dropped, sorted by
-   start label (document order) — as an array, cached per version. *)
-let sorted_items t (test : Ast.test) =
+(* Fresh labels for the entry's nodes, deleted nodes dropped, sorted by
+   start label (document order). *)
+let fresh t e =
   let v = Labeled_doc.version t.ldoc in
-  if t.cache_version <> v then begin
-    Hashtbl.reset t.cache;
-    t.cache_version <- v
-  end;
-  let key = cache_key test in
-  match Hashtbl.find_opt t.cache key with
-  | Some arr -> arr
-  | None ->
-    let arr =
-      Array.of_list (List.filter_map (item_of t) (nodes_of_test t test))
-    in
+  if e.stamp <> v then begin
+    let arr = Array.of_list (List.filter_map (item_of t) e.nodes) in
     Array.sort (fun a b -> Int.compare a.start_pos b.start_pos) arr;
-    Hashtbl.replace t.cache key arr;
-    arr
+    e.sorted <- arr;
+    e.stamp <- v
+  end;
+  e.sorted
+
+(* The test's sorted candidates.  The lookup hashes the tag name itself,
+   so a cached step allocates nothing here. *)
+let sorted_items t (test : Ast.test) =
+  match test with
+  | Ast.Name n -> (
+      match Hashtbl.find t.by_name n with
+      | e -> fresh t e
+      | exception Not_found -> [||])
+  | Ast.Wildcard -> fresh t t.elements
+  | Ast.Text_node -> fresh t t.texts
 
 let candidates t test = Array.to_list (sorted_items t test)
 
@@ -117,62 +111,78 @@ let upper_bound (arr : item array) key =
   done;
   !lo
 
-(* Array-cursor structural join, the same shape as the relstore plan:
-   both inputs sorted by start label, int-index cursors, the open
-   ancestors kept on a growable int-array stack (interval end + input
-   position), and a binary-search leap of the descendant cursor whenever
-   the stack runs empty.  Emits (ancestor, descendant) pairs; descendants
-   arrive in document order, so each ancestor's group is ordered too.
-   XML intervals either nest or are disjoint, so every stacked ancestor
-   containing the start also contains the whole interval. *)
-let structural_join ancs (d : item array) =
-  let a = Array.of_list ancs in
-  let alen = Array.length a and dlen = Array.length d in
-  let pairs = ref [] in
-  let stack_end = ref (Array.make 16 0) in
-  let stack_pos = ref (Array.make 16 0) in
-  let sp = ref 0 in
-  let push apos aend =
-    if !sp = Array.length !stack_end then begin
-      let bigger_end = Array.make (2 * !sp) 0
-      and bigger_pos = Array.make (2 * !sp) 0 in
-      Array.blit !stack_end 0 bigger_end 0 !sp;
-      Array.blit !stack_pos 0 bigger_pos 0 !sp;
-      stack_end := bigger_end;
-      stack_pos := bigger_pos
-    end;
-    !stack_end.(!sp) <- aend;
-    !stack_pos.(!sp) <- apos;
-    incr sp
-  in
-  let pop_closed bound =
-    while !sp > 0 && !stack_end.(!sp - 1) <= bound do
-      decr sp
-    done
-  in
-  let ai = ref 0 and di = ref 0 in
-  let finished = ref false in
-  while (not !finished) && !di < dlen do
-    let ds = d.(!di).start_pos in
-    while !ai < alen && a.(!ai).start_pos < ds do
-      pop_closed a.(!ai).start_pos;
-      push !ai a.(!ai).end_pos;
-      incr ai
-    done;
-    pop_closed ds;
-    if !sp > 0 then begin
-      let de = d.(!di).end_pos in
-      for s = 0 to !sp - 1 do
-        if de < !stack_end.(s) then
-          pairs := (a.(!stack_pos.(s)), d.(!di)) :: !pairs
+(* The positions [lo, hi) of [d] that can lie inside some context of
+   [ctx]: after the first context's start, before the farthest end. *)
+let window ctx d =
+  if Array.length ctx = 0 then (0, 0)
+  else
+    let far = Array.fold_left (fun m c -> max m c.end_pos) min_int ctx in
+    (upper_bound d ctx.(0).start_pos, upper_bound d far)
+
+(* The semi-join kernel.  [ctx] and [d] are sorted by start label and
+   duplicate-free; XML intervals either nest or are disjoint, so the
+   contexts open at a candidate's start form a chain, kept as a stack
+   threaded through [up] ([up.(i)] is context [i]'s innermost enclosing
+   context, or -1).  One pass over both inputs, leaping the candidate
+   cursor by binary search whenever the stack runs empty, calls
+   [hit top x] once per candidate [x] of [d.(lo..hi-1)] inside an open
+   context, in document order; [top] is the innermost such context.  On
+   the child axis [x] must also sit one level below [top] — its parent,
+   if a context, is its innermost open one. *)
+let walk ~child (ctx : item array) (d : item array) ~lo ~hi up hit =
+  let clen = Array.length ctx in
+  let top = ref (-1) and ci = ref 0 and di = ref lo in
+  while !di < hi do
+    let x = d.(!di) in
+    while !ci < clen && ctx.(!ci).start_pos < x.start_pos do
+      let s = ctx.(!ci).start_pos in
+      while !top >= 0 && ctx.(!top).end_pos < s do
+        top := up.(!top)
       done;
+      up.(!ci) <- !top;
+      top := !ci;
+      incr ci
+    done;
+    while !top >= 0 && ctx.(!top).end_pos < x.start_pos do
+      top := up.(!top)
+    done;
+    if !top >= 0 then begin
+      if (not child) || ctx.(!top).level + 1 = x.level then hit !top x;
       incr di
     end
-    else if !ai >= alen then finished := true
-    else di := max (!di + 1) (upper_bound d a.(!ai).start_pos)
-  done;
-  List.rev !pairs
+    else if !ci >= clen then di := hi
+    else di := max (!di + 1) (upper_bound d ctx.(!ci).start_pos)
+  done
 
+(* The step output: every candidate below (child: directly below) some
+   context, once, in document order. *)
+let semi_join ~child ctx d =
+  let lo, hi = window ctx d in
+  if hi <= lo then [||]
+  else begin
+    let out = Array.make (hi - lo) d.(lo) and n = ref 0 in
+    walk ~child ctx d ~lo ~hi
+      (Array.make (Array.length ctx) (-1))
+      (fun _ x ->
+        out.(!n) <- x;
+        incr n);
+    if !n = hi - lo then out else Array.sub out 0 !n
+  end
+
+(* The same pass from the ancestor side: which contexts hold some
+   candidate below (child: directly below) them.  A hit marks the
+   innermost open context; on the descendant axis the marks then flow
+   outwards along [up], innermost contexts first. *)
+let contains ~child ctx d =
+  let clen = Array.length ctx in
+  let found = Array.make clen false and up = Array.make clen (-1) in
+  let lo, hi = window ctx d in
+  walk ~child ctx d ~lo ~hi up (fun top _ -> found.(top) <- true);
+  if not child then
+    for i = clen - 1 downto 0 do
+      if found.(i) && up.(i) >= 0 then found.(up.(i)) <- true
+    done;
+  found
 
 (* Per-context candidate selection for the non-join axes.  Order-based
    axes (following/preceding and the sibling axes) read only label
@@ -258,67 +268,130 @@ let dedup_sorted groups =
     groups;
   List.sort (fun a b -> Int.compare a.start_pos b.start_pos) !out
 
-(* Predicates, proximity-positional per context group; [Exists] recurses
-   into step evaluation (still via label joins). *)
-let rec eval_pred t ~pos ~size it (pred : Ast.pred) =
+(* The items [keep] selects, in order; [items] itself when it keeps
+   them all. *)
+let select keep (items : item array) =
+  let k = ref 0 in
+  Array.iteri (fun i it -> if keep i it then incr k) items;
+  if !k = Array.length items then items
+  else begin
+    let out = Array.make !k items.(0) and n = ref 0 in
+    Array.iteri
+      (fun i it ->
+        if keep i it then begin
+          out.(!n) <- it;
+          incr n
+        end)
+      items;
+    out
+  end
+
+(* Whether a predicate reads the proximity position, i.e. depends on the
+   context group.  Positions inside an [Exists] path count within that
+   path's own groups, not this one. *)
+let rec positional (pred : Ast.pred) =
   match pred with
-  | Ast.Position k -> pos = k
-  | Ast.Last -> pos = size
-  | Ast.Has_attr a ->
-    Dom.is_element it.node && Option.is_some (Dom.attr it.node a)
-  | Ast.Attr_eq (a, v) -> (
-      match if Dom.is_element it.node then Dom.attr it.node a else None with
-      | Some x -> String.equal x v
-      | None -> false)
-  | Ast.Attr_neq (a, v) -> (
-      match if Dom.is_element it.node then Dom.attr it.node a else None with
-      | Some x -> not (String.equal x v)
-      | None -> false)
+  | Ast.Position _ | Ast.Last -> true
+  | Ast.And (a, b) | Ast.Or (a, b) -> positional a || positional b
+  | Ast.Not p -> positional p
+  | Ast.Has_attr _ | Ast.Attr_eq _ | Ast.Attr_neq _ | Ast.Exists _ -> false
+
+let attr it a = if Dom.is_element it.node then Dom.attr it.node a else None
+
+(* A context group is in proximity order: document order, or its
+   reverse on the reverse axes. *)
+let in_document_order items =
+  Array.length items < 2 || items.(0).start_pos < items.(1).start_pos
+
+(* [pred_mask t items live pred] evaluates [pred] over one context group
+   [items] where [live] holds, and is false elsewhere.  A [[p]] whose
+   path is one child/descendant step without positional predicates runs
+   as one ancestor-side semi-join over the whole group, when the group
+   is in document order; other paths run per item. *)
+let rec pred_mask t items live (pred : Ast.pred) =
+  let n = Array.length items in
+  let each f = Array.mapi (fun i it -> live.(i) && f i it) items in
+  match pred with
+  | Ast.Position k -> each (fun i _ -> i + 1 = k)
+  | Ast.Last -> each (fun i _ -> i + 1 = n)
+  | Ast.Has_attr a -> each (fun _ it -> Option.is_some (attr it a))
+  | Ast.Attr_eq (a, v) ->
+    each (fun _ it ->
+        match attr it a with Some x -> String.equal x v | None -> false)
+  | Ast.Attr_neq (a, v) ->
+    each (fun _ it ->
+        match attr it a with Some x -> not (String.equal x v) | None -> false)
   | Ast.And (a, b) ->
-    eval_pred t ~pos ~size it a && eval_pred t ~pos ~size it b
+    pred_mask t items (pred_mask t items live a) b
   | Ast.Or (a, b) ->
-    eval_pred t ~pos ~size it a || eval_pred t ~pos ~size it b
-  | Ast.Not p -> not (eval_pred t ~pos ~size it p)
-  | Ast.Exists steps -> (
-      match List.fold_left (fun ctx step -> eval_step t step ctx) [ it ] steps with
-      | [] -> false
-      | _ :: _ -> true)
+    let ma = pred_mask t items live a in
+    let rest = Array.map2 (fun l m -> l && not m) live ma in
+    Array.map2 ( || ) ma (pred_mask t items rest b)
+  | Ast.Not p ->
+    Array.map2 (fun l m -> l && not m) live (pred_mask t items live p)
+  | Ast.Exists
+      [ ({ axis = (Ast.Child | Ast.Descendant) as axis; _ } as s) ]
+    when in_document_order items && not (List.exists positional s.preds) ->
+    let child = match axis with Ast.Child -> true | _ -> false in
+    let d = sorted_items t s.test in
+    let d =
+      match s.preds with
+      | [] -> d
+      | preds -> filter_group t preds (semi_join ~child items d)
+    in
+    Array.map2 ( && ) live (contains ~child items d)
+  | Ast.Exists steps ->
+    each (fun _ it ->
+        let found =
+          List.fold_left (fun ctx s -> eval_step t s ctx) [| it |] steps
+        in
+        Array.length found > 0)
 
-and apply_preds t preds group =
+(* Predicates filter one context group in turn, each counting positions
+   within the previous one's survivors. *)
+and filter_group t preds items =
   List.fold_left
-    (fun items (pred : Ast.pred) ->
-      let size = List.length items in
-      List.filteri (fun i it -> eval_pred t ~pos:(i + 1) ~size it pred) items)
-    group preds
+    (fun items pred ->
+      let all = Array.make (Array.length items) true in
+      let keep = pred_mask t items all pred in
+      select (fun i _ -> keep.(i)) items)
+    items preds
 
-(* One location step: structural joins for the child/descendant axes,
-   per-context label filters for the rest; predicates apply per context
-   group; results dedup to document order. *)
+(* The grouped positional scan, for child/descendant steps whose
+   predicates read positions: each context's group is the candidates
+   between its start and end (child: one level below it), filtered on
+   its own.  Survivors are marked by their position in [d] and read back
+   in that order — document order, without duplicates. *)
+and grouped_scan t ~child preds ctx d =
+  let lo, hi = window ctx d in
+  let hit = Array.make (hi - lo) false in
+  Array.iter
+    (fun c ->
+      let first = upper_bound d c.start_pos in
+      let group = Array.sub d first (upper_bound d c.end_pos - first) in
+      let group =
+        if child then select (fun _ x -> x.level = c.level + 1) group
+        else group
+      in
+      Array.iter
+        (fun x -> hit.(upper_bound d x.start_pos - 1 - lo) <- true)
+        (filter_group t preds group))
+    ctx;
+  select (fun i _ -> hit.(i)) (Array.sub d lo (Array.length hit))
+
+(* One location step over a context array sorted by start label and
+   duplicate-free; the result is too.  Child/descendant steps are the
+   semi-join, whose flat output the predicates filter item by item, or —
+   when a predicate reads positions — the grouped scan.  The other axes
+   select per context and merge through a dedup table. *)
 and eval_step t (step : Ast.step) contexts =
   match step.axis with
   | Ast.Child | Ast.Descendant ->
-    let cands = sorted_items t step.test in
-    let pairs = structural_join contexts cands in
-    let pairs =
-      match step.axis with
-      | Ast.Descendant -> pairs
-      | _ -> List.filter (fun (a, d) -> d.level = a.level + 1) pairs
-    in
-    let groups : (int, item list) Hashtbl.t = Hashtbl.create 16 in
-    let anchor_order = ref [] in
-    List.iter
-      (fun (a, d) ->
-        let key = Dom.id a.node in
-        (match Hashtbl.find_opt groups key with
-         | None ->
-           anchor_order := key :: !anchor_order;
-           Hashtbl.replace groups key [ d ]
-         | Some ds -> Hashtbl.replace groups key (d :: ds)))
-      pairs;
-    dedup_sorted
-      (List.rev_map
-         (fun key -> apply_preds t step.preds (List.rev (Hashtbl.find groups key)))
-         !anchor_order)
+    let child = match step.axis with Ast.Child -> true | _ -> false in
+    let d = sorted_items t step.test in
+    if List.exists positional step.preds then
+      grouped_scan t ~child step.preds contexts d
+    else filter_group t step.preds (semi_join ~child contexts d)
   | Ast.Self | Ast.Parent | Ast.Ancestor | Ast.Ancestor_or_self
   | Ast.Following | Ast.Preceding | Ast.Following_sibling
   | Ast.Preceding_sibling ->
@@ -331,10 +404,16 @@ and eval_step t (step : Ast.step) contexts =
         candidates t step.test
       | _ -> []
     in
-    dedup_sorted
-      (List.map
-         (fun c -> apply_preds t step.preds (axis_group t step cands c))
-         contexts)
+    let filter group =
+      match step.preds with
+      | [] -> group
+      | preds -> Array.to_list (filter_group t preds (Array.of_list group))
+    in
+    Array.of_list
+      (dedup_sorted
+         (Array.fold_right
+            (fun c groups -> filter (axis_group t step cands c) :: groups)
+            contexts []))
 
 let eval t (path : Ast.t) =
   match (Labeled_doc.document t.ldoc).root with
@@ -343,23 +422,23 @@ let eval t (path : Ast.t) =
       match path.steps with
       | [] -> []
       | first :: rest ->
-        let root_item = item_of t root in
-        let matches_root = matches_test first.test root in
         let contexts0 =
           match first.axis with
           | Ast.Child | Ast.Self ->
-            if matches_root then Option.to_list root_item else []
+            if matches_test first.test root then
+              match item_of t root with Some it -> [| it |] | None -> [||]
+            else [||]
           | Ast.Descendant ->
-            (* [candidates] is root-inclusive already. *)
-            candidates t first.test
+            (* The test's candidates are root-inclusive already. *)
+            sorted_items t first.test
           | Ast.Parent | Ast.Ancestor | Ast.Ancestor_or_self | Ast.Following
           | Ast.Preceding | Ast.Following_sibling | Ast.Preceding_sibling ->
-            []
+            [||]
         in
-        let contexts0 = apply_preds t first.preds contexts0 in
+        let contexts0 = filter_group t first.preds contexts0 in
         let final =
           List.fold_left (fun ctx step -> eval_step t step ctx) contexts0 rest
         in
-        List.map (fun it -> it.node) final)
+        Array.fold_right (fun it nodes -> it.node :: nodes) final [])
 
 let eval_string t s = eval t (Xpath_parser.parse s)

@@ -134,6 +134,14 @@ let axes_known () =
   Alcotest.(check int) "deep path predicate" 1 (both "/book[chapter//title]");
   Alcotest.(check int) "axis in predicate" 3
     (both "//title[ancestor::chapter]");
+  (* One-step predicate paths over reverse-axis groups, which run
+     nearest-first rather than in document order. *)
+  Alcotest.(check int) "child test on ancestors" 3
+    (both "//section/title/ancestor::*[title]");
+  Alcotest.(check int) "descendant test on ancestors" 2
+    (both "//section/title/ancestor::*[descendant::section]");
+  Alcotest.(check int) "child test on preceding" 2
+    (both "//chapter[2]/preceding::*[title]");
   Alcotest.(check int) "parens" 2 (both "//chapter[(section or @kind) and title]");
   Alcotest.(check int) "position or last" 2
     (both "//chapter[1 or last()]");
@@ -264,6 +272,115 @@ let engines_agree_after_updates () =
   Alcotest.(check int) "chapter gone" 2 (count "//chapter");
   Alcotest.(check int) "title gone" 4 (count "book//title")
 
+(* Same-tag contexts nested inside each other: the only shape that makes
+   the join keep more than one open context, and the child axis tell a
+   parent from a farther ancestor.  Ids in the comments are the [id]
+   attributes. *)
+let nested_src =
+  "<a id=\"1\"><a id=\"2\"><b id=\"3\"/><a id=\"4\"><b id=\"5\"/><c/></a>\
+   <a id=\"9\"><c/></a></a><b id=\"6\"><a id=\"7\"><b id=\"8\"/></a></b></a>"
+
+let nested_same_tag () =
+  let doc = Parser.parse_string nested_src in
+  let ldoc = Labeled_doc.of_document doc in
+  let engine = Label_eval.create ldoc in
+  let ids path =
+    let ast = Xpath_parser.parse path in
+    let d = List.map Dom.id (Dom_eval.eval doc ast) in
+    let nodes = Label_eval.eval engine ast in
+    Alcotest.(check (list int)) ("engines agree on " ^ path) d
+      (List.map Dom.id nodes);
+    List.map (fun n -> Option.value ~default:"-" (Dom.attr n "id")) nodes
+  in
+  let check path expected =
+    Alcotest.(check (list string)) path expected (ids path)
+  in
+  check "//a//b" [ "3"; "5"; "6"; "8" ];
+  check "//a/b" [ "3"; "5"; "6"; "8" ];
+  check "//a[b]" [ "1"; "2"; "4"; "7" ];
+  check "//a[.//b and not(c)]" [ "1"; "2"; "7" ];
+  check "//a/b[1]" [ "3"; "5"; "6"; "8" ];
+  check "//a//b[last()]" [ "5"; "8" ];
+  (* More of the same shape: nested join outputs, a positional child
+     scan with several same-tag children, predicate paths below. *)
+  check "//a//a" [ "2"; "4"; "9"; "7" ];
+  check "//a/a" [ "2"; "4"; "9" ];
+  check "//a/a[2]" [ "9" ];
+  check "//a//a[1]" [ "2"; "4" ];
+  check "//b//b" [ "8" ];
+  check "//a[descendant::c]" [ "1"; "2"; "4"; "9" ];
+  check "//a[c]/b" [ "5" ];
+  check "//a[a[b]]" [ "1"; "2" ];
+  check "//a[not(descendant::b)]" [ "9" ];
+  check "/a/b//a[b]" [ "7" ];
+  check "//a[b or c][1]" [ "1" ]
+
+(* An XMark document through both engines: the benchmark's XPath reads
+   and the stress harness's parity queries, before and after an insert,
+   a delete and a refresh. *)
+let xmark_queries =
+  [ "//item/name"; "/site/regions//item/location";
+    "//open_auction[bidder]/initial"; "//person[address]/name";
+    "site//item/name"; "//person[address/city]"; "//patch";
+    "//open_auction[bidder]/itemref"; "//item/following-sibling::item";
+    "//open_auction/bidder[last()]/increase";
+    "//person[descendant::city]/name" ]
+
+let xmark_differential () =
+  let doc = Xml_gen.xmark ~seed:3 ~scale:1.0 () in
+  let ldoc = Labeled_doc.of_document doc in
+  let engine = Label_eval.create ldoc in
+  let agree stage =
+    List.iter
+      (fun q ->
+        let ast = Xpath_parser.parse q in
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: %s" stage q)
+          (List.map Dom.id (Dom_eval.eval doc ast))
+          (List.map Dom.id (Label_eval.eval engine ast)))
+      xmark_queries
+  in
+  agree "fresh";
+  let first path =
+    match Dom_eval.eval doc (Xpath_parser.parse path) with
+    | n :: _ -> n
+    | [] -> Alcotest.failf "no %s in the document" path
+  in
+  let added =
+    Parser.parse_fragment
+      "<item><location>Here</location><name>new</name>\
+       <description><parlist><listitem><text>t</text></listitem>\
+       </parlist></description></item>"
+  in
+  Labeled_doc.insert_subtree_after ldoc ~anchor:(first "//item") added;
+  Label_eval.refresh engine;
+  agree "after insert";
+  Labeled_doc.delete_subtree ldoc (first "//person[address]");
+  Label_eval.refresh engine;
+  agree "after delete"
+
+(* A child/descendant step builds no pair list, grouping table or sort:
+   after warm-up (sorted tag arrays cached), a catalogue read allocates
+   a few words per returned node plus bounded per-step arrays.  The old
+   pair-list join spent ~85 words per result. *)
+let catalogue_allocation () =
+  let doc = Xml_gen.xmark ~seed:3 ~scale:1.0 () in
+  let engine = Label_eval.create (Labeled_doc.of_document doc) in
+  List.iter
+    (fun q ->
+      let ast = Xpath_parser.parse q in
+      let n = List.length (Label_eval.eval engine ast) in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10 do
+        ignore (Label_eval.eval engine ast : Dom.node list)
+      done;
+      let per_call = (Gc.minor_words () -. w0) /. 10.0 in
+      if per_call > float_of_int ((12 * n) + 512) then
+        Alcotest.failf "%s: %.0f minor words per call for %d nodes" q per_call
+          n)
+    [ "//item/name"; "/site/regions//item/location";
+      "//open_auction[bidder]/initial"; "//person[address]/name" ]
+
 let suite =
   ( "xpath",
     [ case "parser round-trips" `Quick parse_roundtrip;
@@ -274,4 +391,7 @@ let suite =
       case "all axes: engines agree on known answers" `Quick axes_known;
       case "leading-step corners" `Quick leading_step_corners;
       case "engines agree after updates" `Quick engines_agree_after_updates;
+      case "nested same-tag contexts" `Quick nested_same_tag;
+      case "xmark differential" `Quick xmark_differential;
+      case "catalogue reads allocate per result" `Quick catalogue_allocation;
       QCheck_alcotest.to_alcotest engines_agree_prop ] )
