@@ -48,19 +48,21 @@ crash-matrix:
 	dune exec bin/ltree_cli.exe -- crash-matrix --ops 200
 
 crash-matrix-quick:
-	dune exec bin/ltree_cli.exe -- crash-matrix --ops 60 --nodes 60 --checkpoint-every 16
+	dune exec bin/ltree_cli.exe -- crash-matrix --ops 60 --nodes 60 \
+	  --checkpoint-every 16 --domains 2
 
 # The shard-level matrix: kill one shard's disk at every one of its
 # write points in every corruption mode, recover that shard alone, and
-# verify the whole document — crashed shard at its durable prefix,
-# sibling shards and the router untouched, sharded plans still equal to
-# the unsharded reference.
+# verify it against its own bit-exact oracle at a durable prefix within
+# [synced, attempted] (labels, content CRC, the recovery invariants);
+# every sibling shard must still sit at its applied prefix and the
+# router at the global prefix of completed operations.
 shard-matrix:
 	dune exec bin/ltree_cli.exe -- shard-matrix --ops 120
 
 shard-matrix-quick:
 	dune exec bin/ltree_cli.exe -- shard-matrix --ops 40 --nodes 60 \
-	  --shards 3 --checkpoint-every 12
+	  --shards 3 --checkpoint-every 12 --domains 2
 
 # The replica-level matrix: kill the primary mid-commit, the replica
 # mid-apply, or sever the channel mid-record, in every damage mode;

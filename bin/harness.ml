@@ -24,7 +24,7 @@ module Counters = Ltree_metrics.Counters
 module Prng = Ltree_workload.Prng
 module Fault = Ltree_recovery.Fault
 module Durable_doc = Ltree_recovery.Durable_doc
-module Crash_matrix = Ltree_recovery.Crash_matrix
+module Fault_matrix = Ltree_recovery.Fault_matrix
 module Span = Ltree_obs.Span
 module Accountant = Ltree_obs.Accountant
 module Pool = Ltree_exec.Pool
@@ -365,7 +365,7 @@ let register_invariants t =
      its document label-identical to the live one (it is fed the same
      entries, and labels are deterministic).  These are the same
      invariants the crash matrix runs post-recovery. *)
-  Crash_matrix.register_invariants reg ~io:(Fault.sim_io t.sim)
+  Fault_matrix.register_invariants reg ~io:(Fault.sim_io t.sim)
     ~dir:"store"
     ~expected_labels:(fun () ->
       Array.of_list (List.map snd (Labeled_doc.labeled_events t.ldoc)))

@@ -652,41 +652,105 @@ let check_cmd =
     Term.(const run $ file_opt $ f_arg $ s_arg $ ops_arg $ seed_arg
           $ inject_arg $ storm_arg $ dump_arg $ bundle_arg $ domains_arg)
 
-(* crash-matrix *)
+(* crash-matrix / shard-matrix: both front the Fault_matrix engine and
+   share its flags, progress printer and failure printer. *)
+
+module FM = Ltree_recovery.Fault_matrix
+
+let matrix_config_term (d : FM.config) =
+  let int_opt name docv doc default =
+    Arg.(value & opt int default & info [ name ] ~docv ~doc)
+  in
+  Term.(
+    const (fun ops seed doc_nodes group_commit checkpoint_every ->
+        { FM.seed; ops; doc_nodes; group_commit; checkpoint_every })
+    $ int_opt "ops" "OPS" "Length of the seeded operation script." d.ops
+    $ int_opt "seed" "SEED" "Seed for the script and every injection choice."
+        d.seed
+    $ int_opt "nodes" "N" "Target size of the base document." d.doc_nodes
+    $ int_opt "group-commit" "G" "Journal records batched per fsync, per \
+                                  store." d.group_commit
+    $ int_opt "checkpoint-every" "K" "Operations between snapshot \
+                                      rotations (of every store)."
+        d.checkpoint_every)
+
+let only_arg ~examples =
+  Arg.(value & opt (some string) None & info [ "only" ] ~docv:"CELL"
+         ~doc:("Rerun a single cell named as in the failure output, e.g. "
+               ^ examples ^ "."))
+
+let parse_cell_opt g ~flag ~example = function
+  | None -> None
+  | Some s -> (
+    match FM.parse_cell g s with
+    | Some id -> Some id
+    | None ->
+      Printf.eprintf "cannot parse %s %S (expected e.g. %s)\n" flag s example;
+      exit 2)
+
+let print_matrix_header title ?(extra = "") (c : FM.config) domains =
+  Printf.printf
+    "%s: %s%d ops, doc ~%d nodes, group commit %d, checkpoint every %d, \
+     seed %d, %d domain(s)\n%!"
+    title extra c.ops c.doc_nodes c.group_commit c.checkpoint_every c.seed
+    (max 1 domains)
+
+let matrix_progress () =
+  let last = ref 0 in
+  fun ~done_cells ~total ->
+    let decile = done_cells * 10 / total in
+    if decile > !last then begin
+      last := decile;
+      Printf.printf "  ...%d%% (%d/%d cells)\n%!" (decile * 10) done_cells
+        total
+    end
+
+(* Every failing cell with its failures and the exact command that
+   replays it alone. *)
+let print_failures ~command ?(extra = "") (s : (_, _) FM.summary) =
+  let c = s.FM.config in
+  Printf.printf "FAIL: %d cells failed verification\n" s.FM.failed_cells;
+  List.iter
+    (fun cell ->
+      match cell.FM.failures with
+      | [] -> ()
+      | failures ->
+        Printf.printf "  cell %s:\n" cell.FM.name;
+        List.iter (fun f -> Printf.printf "    %s\n" f) failures;
+        Printf.printf
+          "    rerun: ltree %s --only %s%s --ops %d --nodes %d \
+           --group-commit %d --checkpoint-every %d --seed %d\n"
+          command cell.FM.name extra c.ops c.doc_nodes c.group_commit
+          c.checkpoint_every c.seed)
+    s.FM.cells
+
+(* The store and shard topologies share one outcome type. *)
+let print_recoveries (s : (_, FM.recovery) FM.summary) =
+  let lost =
+    List.length
+      (List.filter
+         (fun c ->
+           match c.FM.outcome with
+           | FM.Unrecoverable _ -> true
+           | FM.Recovered _ -> false)
+         s.FM.cells)
+  in
+  Printf.printf "recovered: %d cells; pre-first-checkpoint losses: %d\n"
+    (List.length s.FM.cells - lost)
+    lost
+
+let finish_matrix ~clean ~command ?extra (s : (_, _) FM.summary) =
+  if FM.ok s then
+    Printf.printf "%s clean: all %d cells verified\n" clean
+      (List.length s.FM.cells)
+  else begin
+    print_failures ~command ?extra s;
+    exit 1
+  end
 
 let crash_matrix_cmd =
   let module M = Ltree_recovery.Crash_matrix in
-  let module F = Ltree_recovery.Fault in
-  let ops_arg =
-    Arg.(value & opt int M.default_config.M.ops & info [ "ops" ]
-           ~docv:"OPS" ~doc:"Length of the seeded operation script.")
-  in
-  let seed_arg =
-    Arg.(value & opt int M.default_config.M.seed & info [ "seed" ]
-           ~docv:"SEED"
-           ~doc:"Seed for the script and every injection choice.")
-  in
-  let nodes_arg =
-    Arg.(value & opt int M.default_config.M.doc_nodes & info [ "nodes" ]
-           ~docv:"N" ~doc:"Target size of the base document.")
-  in
-  let group_arg =
-    Arg.(value & opt int M.default_config.M.group_commit
-         & info [ "group-commit" ] ~docv:"G"
-             ~doc:"Journal records batched per fsync.")
-  in
-  let ckpt_arg =
-    Arg.(value & opt int M.default_config.M.checkpoint_every
-         & info [ "checkpoint-every" ] ~docv:"K"
-             ~doc:"Operations between snapshot rotations.")
-  in
-  let only_arg =
-    Arg.(value & opt (some string) None & info [ "only" ] ~docv:"CELL"
-           ~doc:"Rerun a single cell named as in the failure output \
-                 (store cells: $(b,P37/torn); replica cells: \
-                 $(b,primary:P12/flip), $(b,replica:P5/clean), \
-                 $(b,channel:C9/torn)).")
-  in
+  let module R = Ltree_replication.Repl_matrix in
   let replica_arg =
     Arg.(value & flag & info [ "replica" ]
            ~doc:"Run the replica-level matrix instead: kill the primary \
@@ -709,8 +773,7 @@ let crash_matrix_cmd =
                  cell and run parameters, so $(b,ltree bundle --replay) \
                  can re-run exactly that cell.  Requires $(b,--replica).")
   in
-  let run ops seed nodes group_commit checkpoint_every only replica
-      inject_cell bundle domains =
+  let run (config : FM.config) only replica inject_cell bundle domains =
     if (Option.is_some inject_cell || Option.is_some bundle) && not replica
     then begin
       Printf.eprintf
@@ -719,86 +782,42 @@ let crash_matrix_cmd =
       exit 2
     end;
     with_domains domains @@ fun pool ->
-    let last = ref 0 in
-    let progress ~done_cells ~total =
-      let decile = done_cells * 10 / total in
-      if decile > !last then begin
-        last := decile;
-        Printf.printf "  ...%d%% (%d/%d cells)\n%!" (decile * 10) done_cells
-          total
-      end
-    in
+    let progress = matrix_progress () in
     if replica then begin
-      let module R = Ltree_replication.Repl_matrix in
       let only =
-        match only with
-        | None -> None
-        | Some s -> (
-          match R.parse_cell s with
-          | Some cell -> Some cell
-          | None ->
-            Printf.eprintf
-              "cannot parse --only %S (expected e.g. primary:P12/torn, \
-               replica:P5/clean or channel:C9/flip)\n"
-              s;
-            exit 2)
+        parse_cell_opt R.grammar ~flag:"--only"
+          ~example:"primary:P12/torn, replica:P5/clean or channel:C9/flip"
+          only
       in
       let inject =
-        match inject_cell with
-        | None -> None
-        | Some s -> (
-          match R.parse_cell s with
-          | Some cell -> Some cell
-          | None ->
-            Printf.eprintf
-              "cannot parse --inject-cell-failure %S (expected e.g. \
-               primary:P12/torn)\n"
-              s;
-            exit 2)
+        parse_cell_opt R.grammar ~flag:"--inject-cell-failure"
+          ~example:"primary:P12/torn" inject_cell
       in
-      let config =
-        { R.seed; ops; doc_nodes = nodes; group_commit; checkpoint_every }
-      in
-      Printf.printf
-        "replica crash matrix: %d ops, doc ~%d nodes, group commit %d, \
-         checkpoint every %d, seed %d, %d domain(s)\n%!"
-        ops nodes group_commit checkpoint_every seed (max 1 domains);
+      print_matrix_header "replica crash matrix" config domains;
       let s = R.run ?pool ?only ?inject ~progress config in
       Printf.printf "%s\n" (R.describe s);
-      if not (R.ok s) then begin
-        List.iter
-          (fun c ->
-            match c.R.failures with
-            | [] -> ()
-            | failures ->
-              Printf.printf "  cell %s:\n" (R.cell_name c);
-              List.iter (fun f -> Printf.printf "    %s\n" f) failures;
-              Printf.printf "    rerun: ltree crash-matrix --replica \
-                             --only %s --ops %d --seed %d\n"
-                (R.cell_name c) ops seed)
-          s.R.cells;
+      if not (FM.ok s) then begin
+        print_failures ~command:"crash-matrix --replica" s;
         (match bundle with
          | None -> ()
          | Some path ->
-           let failing =
-             List.find_opt
-               (fun c -> match c.R.failures with [] -> false | _ -> true)
-               s.R.cells
-           in
            let cell_name, failure =
-             match failing with
-             | Some c -> (R.cell_name c, String.concat "; " c.R.failures)
+             match
+               List.find_opt (fun c -> c.FM.failures <> []) s.FM.cells
+             with
+             | Some c -> (c.FM.name, String.concat "; " c.FM.failures)
              | None -> ("?", "sweep incomplete")
            in
            let data =
              Ltree_obs.Recorder.dump ~reason:"repl-matrix-cell"
                ~attrs:
                  [ ("cell", cell_name); ("failure", failure);
-                   ("seed", string_of_int seed);
-                   ("ops", string_of_int ops);
-                   ("nodes", string_of_int nodes);
-                   ("group_commit", string_of_int group_commit);
-                   ("checkpoint_every", string_of_int checkpoint_every) ]
+                   ("seed", string_of_int config.seed);
+                   ("ops", string_of_int config.ops);
+                   ("nodes", string_of_int config.doc_nodes);
+                   ("group_commit", string_of_int config.group_commit);
+                   ("checkpoint_every",
+                    string_of_int config.checkpoint_every) ]
                ()
            in
            write_out (Some path) data;
@@ -814,64 +833,34 @@ let crash_matrix_cmd =
     end
     else begin
       let only =
-        match only with
-        | None -> None
-        | Some s -> (
-          match M.parse_cell s with
-          | Some cell -> Some cell
-          | None ->
-            Printf.eprintf
-              "cannot parse --only %S (expected e.g. P37/torn)\n" s;
-            exit 2)
+        parse_cell_opt M.grammar ~flag:"--only" ~example:"P37/torn" only
       in
-      let config =
-        { M.seed; ops; doc_nodes = nodes; group_commit; checkpoint_every }
-      in
-      Printf.printf
-        "crash matrix: %d ops, doc ~%d nodes, group commit %d, checkpoint \
-         every %d, seed %d, %d domain(s)\n%!"
-        ops nodes group_commit checkpoint_every seed (max 1 domains);
+      print_matrix_header "crash matrix" config domains;
       let s = M.run ?pool ?only ~progress config in
+      let (), e = List.hd s.FM.extents in
       Printf.printf
         "swept %d write points x %d modes = %d cells (%d init-phase \
          points)\n"
-        s.M.total_points
-        (List.length F.all_modes)
-        (List.length s.M.cells) s.M.init_points;
-      let recovered, unrecoverable =
-        List.partition
-          (fun c -> match c.M.outcome with
-             | M.Recovered _ -> true
-             | M.Unrecoverable _ -> false)
-          s.M.cells
-      in
-      Printf.printf "recovered: %d cells; pre-first-checkpoint losses: %d\n"
-        (List.length recovered)
-        (List.length unrecoverable);
-      Printf.printf "damage detected during recovery:\n";
+        e.FM.points
+        (List.length Ltree_recovery.Fault.all_modes)
+        (List.length s.FM.cells) e.FM.init_points;
+      print_recoveries s;
+      let tally = Hashtbl.create 16 in
       List.iter
-        (fun (kind, n) -> Printf.printf "  %-20s %d\n" kind n)
-        s.M.fault_counts;
-      if s.M.failed_cells = 0 then
-        Printf.printf "crash matrix clean: all %d cells verified\n"
-          (List.length s.M.cells)
-      else begin
-        Printf.printf "FAIL: %d cells failed verification\n"
-          s.M.failed_cells;
-        List.iter
-          (fun c ->
-            match c.M.failures with
-            | [] -> ()
-            | failures ->
-              Printf.printf "  cell %s:\n" (M.cell_name c);
-              List.iter (fun f -> Printf.printf "    %s\n" f) failures;
-              Printf.printf
-                "    rerun: ltree crash-matrix --only %s --ops %d --seed \
-                 %d\n"
-                (M.cell_name c) ops seed)
-          s.M.cells;
-        exit 1
-      end
+        (fun c ->
+          List.iter
+            (fun k ->
+              Hashtbl.replace tally k
+                (1 + Option.value ~default:0 (Hashtbl.find_opt tally k)))
+            (match c.FM.outcome with
+             | FM.Recovered r -> r.fault_kinds
+             | FM.Unrecoverable u -> u.fault_kinds))
+        s.FM.cells;
+      Printf.printf "damage detected during recovery:\n";
+      Hashtbl.fold (fun k n acc -> (k, n) :: acc) tally []
+      |> List.sort compare
+      |> List.iter (fun (kind, n) -> Printf.printf "  %-20s %d\n" kind n);
+      finish_matrix ~clean:"crash matrix" ~command:"crash-matrix" s
     end
   in
   Cmd.v
@@ -879,115 +868,43 @@ let crash_matrix_cmd =
        ~doc:"Crash the durable store (or a primary/replica pair with \
              --replica) at every write point in every corruption mode, \
              recover or promote, and verify against a bit-exact oracle.")
-    Term.(const run $ ops_arg $ seed_arg $ nodes_arg $ group_arg
-          $ ckpt_arg $ only_arg $ replica_arg $ inject_cell_arg
-          $ bundle_arg $ domains_arg)
+    Term.(const run $ matrix_config_term FM.default_config
+          $ only_arg
+              ~examples:"store cells: $(b,P37/torn); replica cells: \
+                         $(b,primary:P12/flip), $(b,replica:P5/clean), \
+                         $(b,channel:C9/torn)"
+          $ replica_arg $ inject_cell_arg $ bundle_arg $ domains_arg)
 
 (* shard-matrix *)
 
 let shard_matrix_cmd =
   let module SM = Ltree_shard.Shard_matrix in
-  let module F = Ltree_recovery.Fault in
-  let ops_arg =
-    Arg.(value & opt int SM.default_config.SM.ops & info [ "ops" ]
-           ~docv:"OPS" ~doc:"Length of the seeded global operation script.")
-  in
-  let seed_arg =
-    Arg.(value & opt int SM.default_config.SM.seed & info [ "seed" ]
-           ~docv:"SEED"
-           ~doc:"Seed for the script and every injection choice.")
-  in
-  let nodes_arg =
-    Arg.(value & opt int SM.default_config.SM.doc_nodes & info [ "nodes" ]
-           ~docv:"N" ~doc:"Target size of the base document.")
-  in
   let shards_arg =
-    Arg.(value & opt int SM.default_config.SM.shards & info [ "shards" ]
-           ~docv:"K" ~doc:"Number of subtree shards.")
+    Arg.(value & opt int SM.default_shards & info [ "shards" ] ~docv:"K"
+           ~doc:"Number of subtree shards.")
   in
-  let group_arg =
-    Arg.(value & opt int SM.default_config.SM.group_commit
-         & info [ "group-commit" ] ~docv:"G"
-             ~doc:"Journal records batched per fsync, per shard.")
-  in
-  let ckpt_arg =
-    Arg.(value & opt int SM.default_config.SM.checkpoint_every
-         & info [ "checkpoint-every" ] ~docv:"K"
-             ~doc:"Global operations between all-shard snapshot rotations.")
-  in
-  let only_arg =
-    Arg.(value & opt (some string) None & info [ "only" ] ~docv:"CELL"
-           ~doc:"Rerun a single cell named as in the failure output, \
-                 e.g. $(b,S1/P37/torn).")
-  in
-  let run ops seed nodes shards group_commit checkpoint_every only domains =
+  let run (config : FM.config) shards only domains =
     with_domains domains @@ fun pool ->
     let only =
-      match only with
-      | None -> None
-      | Some s -> (
-        match SM.parse_cell s with
-        | Some cell -> Some cell
-        | None ->
-          Printf.eprintf "cannot parse --only %S (expected e.g. S1/P37/torn)\n"
-            s;
-          exit 2)
+      parse_cell_opt (SM.grammar ~shards) ~flag:"--only"
+        ~example:"S1/P37/torn" only
     in
-    let last = ref 0 in
-    let progress ~done_cells ~total =
-      let decile = done_cells * 10 / total in
-      if decile > !last then begin
-        last := decile;
-        Printf.printf "  ...%d%% (%d/%d cells)\n%!" (decile * 10) done_cells
-          total
-      end
-    in
-    let config =
-      { SM.seed; ops; doc_nodes = nodes; shards; group_commit;
-        checkpoint_every }
-    in
-    Printf.printf
-      "shard crash matrix: %d shards, %d ops, doc ~%d nodes, group commit \
-       %d, checkpoint every %d, seed %d, %d domain(s)\n%!"
-      shards ops nodes group_commit checkpoint_every seed (max 1 domains);
-    let s = SM.run ?pool ?only ~progress config in
-    Array.iteri
-      (fun j total ->
-        Printf.printf "  shard %d: %d write points (%d init-phase)\n" j total
-          s.SM.init_points.(j))
-      s.SM.total_points;
+    print_matrix_header "shard crash matrix"
+      ~extra:(Printf.sprintf "%d shards, " shards)
+      config domains;
+    let s = SM.run ?pool ?only ~progress:(matrix_progress ()) ~shards config in
+    List.iter
+      (fun (j, e) ->
+        Printf.printf "  shard %d: %d write points (%d init-phase)\n" j
+          e.FM.points e.FM.init_points)
+      s.FM.extents;
     Printf.printf "swept %d cells across %d modes\n"
-      (List.length s.SM.cells)
-      (List.length F.all_modes);
-    let recovered, unrecoverable =
-      List.partition
-        (fun c -> match c.SM.outcome with
-           | SM.Recovered _ -> true
-           | SM.Unrecoverable _ -> false)
-        s.SM.cells
-    in
-    Printf.printf "recovered: %d cells; pre-first-checkpoint losses: %d\n"
-      (List.length recovered)
-      (List.length unrecoverable);
-    if s.SM.failed_cells = 0 then
-      Printf.printf "shard matrix clean: all %d cells verified\n"
-        (List.length s.SM.cells)
-    else begin
-      Printf.printf "FAIL: %d cells failed verification\n" s.SM.failed_cells;
-      List.iter
-        (fun c ->
-          match c.SM.failures with
-          | [] -> ()
-          | failures ->
-            Printf.printf "  cell %s:\n" (SM.cell_name c);
-            List.iter (fun f -> Printf.printf "    %s\n" f) failures;
-            Printf.printf
-              "    rerun: ltree shard-matrix --only %s --ops %d --shards %d \
-               --seed %d\n"
-              (SM.cell_name c) ops shards seed)
-        s.SM.cells;
-      exit 1
-    end
+      (List.length s.FM.cells)
+      (List.length Ltree_recovery.Fault.all_modes);
+    print_recoveries s;
+    finish_matrix ~clean:"shard matrix" ~command:"shard-matrix"
+      ~extra:(Printf.sprintf " --shards %d" shards)
+      s
   in
   Cmd.v
     (Cmd.info "shard-matrix"
@@ -995,8 +912,8 @@ let shard_matrix_cmd =
              write points in every corruption mode, recover that shard \
              alone, and verify the recovered shard, its live siblings and \
              the router against bit-exact oracles.")
-    Term.(const run $ ops_arg $ seed_arg $ nodes_arg $ shards_arg
-          $ group_arg $ ckpt_arg $ only_arg $ domains_arg)
+    Term.(const run $ matrix_config_term SM.default_config $ shards_arg
+          $ only_arg ~examples:"$(b,S1/P37/torn)" $ domains_arg)
 
 (* trace / metrics: the observability front ends.  Both replay the same
    deterministic harness workload `ltree check` uses — it exercises the
@@ -1161,30 +1078,10 @@ let metrics_cmd =
 (* replicate *)
 
 let replicate_cmd =
-  let module M = Ltree_recovery.Crash_matrix in
+  let module M = Ltree_recovery.Fault_matrix in
   let module F = Ltree_recovery.Fault in
   let module D = Ltree_recovery.Durable_doc in
   let module Rp = Ltree_replication in
-  let ops_arg =
-    Arg.(value & opt int 200 & info [ "ops" ] ~docv:"OPS"
-           ~doc:"Length of the seeded operation script.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Seed for the script and every injection choice.")
-  in
-  let nodes_arg =
-    Arg.(value & opt int 120 & info [ "nodes" ] ~docv:"N"
-           ~doc:"Target size of the base document.")
-  in
-  let group_arg =
-    Arg.(value & opt int 4 & info [ "group-commit" ] ~docv:"G"
-           ~doc:"Journal records batched per fsync, both stores.")
-  in
-  let ckpt_arg =
-    Arg.(value & opt int 32 & info [ "checkpoint-every" ] ~docv:"K"
-           ~doc:"Operations between snapshot rotations.")
-  in
   let noise_arg =
     Arg.(value & opt int 0 & info [ "noise-every" ] ~docv:"N"
            ~doc:"Damage every $(docv)th chunk on both channels with a \
@@ -1210,17 +1107,16 @@ let replicate_cmd =
                  virtual-clock ticks) plus the cross-check against the \
                  end-to-end lag histogram.")
   in
-  let run ops seed nodes group_commit checkpoint_every noise_every failover
-      metrics trace =
+  let run (config : M.config) noise_every failover metrics trace =
+    let { M.ops; seed; doc_nodes = nodes; group_commit; checkpoint_every } =
+      config
+    in
     if trace then begin
       Ltree_obs.Causal.reset ();
       Ltree_obs.Causal.set_enabled true
     end;
-    let config =
-      { M.seed; ops; doc_nodes = nodes; group_commit; checkpoint_every }
-    in
     let script = M.generate_script config in
-    let oracle = M.build_oracle config script in
+    let oracle = M.build_oracle (M.base_ldoc config) script in
     let psim = F.create_sim () and rsim = F.create_sim () in
     let plan =
       if noise_every <= 0 then Rp.Channel.ideal
@@ -1336,8 +1232,8 @@ let replicate_cmd =
        ~doc:"Drive a primary/replica pair over injectable channels: \
              catch-up, lag, retries, optional failover, and the \
              replication histograms.")
-    Term.(const run $ ops_arg $ seed_arg $ nodes_arg $ group_arg
-          $ ckpt_arg $ noise_arg $ failover_arg $ metrics_arg $ trace_arg)
+    Term.(const run $ matrix_config_term M.default_config $ noise_arg
+          $ failover_arg $ metrics_arg $ trace_arg)
 
 (* bundle: the flight recorder's front door.  With no mode flag it
    replays the observed workload and dumps the ring; --validate checks
@@ -1383,39 +1279,30 @@ let bundle_cmd =
         Printf.eprintf "%s: bundle header names no cell to replay\n" path;
         exit 2
       | Some cell_s -> (
-        match R.parse_cell cell_s with
+        match FM.parse_cell R.grammar cell_s with
         | None ->
           Printf.eprintf "%s: cannot parse cell %S\n" path cell_s;
           exit 2
         | Some cell ->
           let geti k fallback =
-            match attr k with
+            match Option.bind (attr k) int_of_string_opt with
+            | Some n -> n
             | None -> fallback
-            | Some v -> (
-              match int_of_string_opt v with
-              | Some n -> n
-              | None -> fallback)
           in
-          let d = R.default_config in
+          let d = FM.default_config in
           let config =
-            { R.seed = geti "seed" d.R.seed;
-              ops = geti "ops" d.R.ops;
-              doc_nodes = geti "nodes" d.R.doc_nodes;
-              group_commit = geti "group_commit" d.R.group_commit;
-              checkpoint_every =
-                geti "checkpoint_every" d.R.checkpoint_every }
+            { FM.seed = geti "seed" d.seed;
+              ops = geti "ops" d.ops;
+              doc_nodes = geti "nodes" d.doc_nodes;
+              group_commit = geti "group_commit" d.group_commit;
+              checkpoint_every = geti "checkpoint_every" d.checkpoint_every }
           in
           Printf.printf "replaying cell %s (seed %d, ops %d)\n" cell_s
-            config.R.seed config.R.ops;
+            config.seed config.ops;
           let s = R.run ~only:cell config in
           Printf.printf "%s\n" (R.describe s);
-          if not (R.ok s) then begin
-            List.iter
-              (fun c ->
-                List.iter
-                  (fun f -> Printf.printf "  %s: %s\n" (R.cell_name c) f)
-                  c.R.failures)
-              s.R.cells;
+          if not (FM.ok s) then begin
+            print_failures ~command:"crash-matrix --replica" s;
             exit 1
           end))
     | None, None ->

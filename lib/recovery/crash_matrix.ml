@@ -1,10 +1,6 @@
+module FM = Fault_matrix
 module Labeled_doc = Ltree_doc.Labeled_doc
-module Journal = Ltree_doc.Journal
 module Dom = Ltree_xml.Dom
-module Serializer = Ltree_xml.Serializer
-module Xml_gen = Ltree_workload.Xml_gen
-module Prng = Ltree_workload.Prng
-module Invariant = Ltree_analysis.Invariant
 module Shredder = Ltree_relstore.Shredder
 module Pager = Ltree_relstore.Pager
 module Query = Ltree_relstore.Query
@@ -12,208 +8,28 @@ module Counters = Ltree_metrics.Counters
 
 (* Monomorphic comparison prelude (lint rule R2). *)
 let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let min : int -> int -> int = Stdlib.min
-
-let int_array_equal a b =
-  Array.length a = Array.length b
-  &&
-  let rec go i = i >= Array.length a || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
-
-type config = {
-  seed : int;
-  ops : int;
-  doc_nodes : int;
-  group_commit : int;
-  checkpoint_every : int;
-}
-
-let default_config =
-  { seed = 42; ops = 200; doc_nodes = 120; group_commit = 4;
-    checkpoint_every = 32 }
 
 let store_dir = "store"
 
-(* {1 Script generation}
+type outcome = FM.recovery
+type summary = (unit, outcome) FM.summary
 
-   The workload is a list of {!Journal.entry} values generated against a
-   scratch document (so every anchor is valid at its position in the
-   sequence).  Everything derives from the config seed: the same config
-   always yields the same script, the same write points, and the same
-   injected damage — a failing cell replays exactly. *)
+let grammar =
+  { FM.sites = [ () ]; prefix = (fun () -> ""); unit = (fun () -> 'P');
+    probes = [] }
 
-let fresh_ldoc config =
-  let doc =
-    Xml_gen.generate ~seed:config.seed
-      (Xml_gen.default_profile ~target_nodes:config.doc_nodes ())
-  in
-  Labeled_doc.of_document doc
+(* {1 Query agreement}
 
-let base_ldoc = fresh_ldoc
-
-let live_nodes ldoc =
-  let doc = Labeled_doc.document ldoc in
-  let elements = ref [] and texts = ref [] in
-  (match doc.Dom.root with
-   | None -> ()
-   | Some root ->
-     Dom.iter_preorder root (fun n ->
-         match Dom.kind n with
-         | Dom.Element _ -> elements := n :: !elements
-         | Dom.Text _ -> texts := n :: !texts
-         | Dom.Comment _ | Dom.Pi _ -> ()));
-  (List.rev !elements, List.rev !texts)
-
-let start_label ldoc n = (Labeled_doc.label ldoc n).Labeled_doc.start_pos
-
-let fragment_xml prng k =
-  match Prng.int prng 3 with
-  | 0 -> Printf.sprintf "<patch n=\"%d\">p%d</patch>" k k
-  | 1 -> Printf.sprintf "<patch n=\"%d\"><deep><x/></deep></patch>" k
-  | _ -> Printf.sprintf "<note id=\"%d\">n%d<sub/></note>" k k
-
-let generate_script config =
-  let ldoc = fresh_ldoc config in
-  let prng = Prng.create (config.seed lxor 0x0F1E2D3C) in
-  let script = ref [] in
-  for k = 1 to config.ops do
-    let elements, texts = live_nodes ldoc in
-    let insert () =
-      let parent = Prng.pick prng (Array.of_list elements) in
-      Journal.Insert
-        { anchor = start_label ldoc parent;
-          index = Prng.int prng (Dom.child_count parent + 1);
-          xml = fragment_xml prng k }
-    in
-    let entry =
-      match Prng.int prng 10 with
-      | 0 | 1 | 2 | 3 | 4 -> insert ()
-      | 5 | 6 -> (
-          (* Never delete the root: the document must keep one. *)
-          match
-            List.filter (fun n -> Option.is_some (Dom.parent n)) elements
-          with
-          | [] -> insert ()
-          | deletable ->
-            Journal.Delete
-              { anchor =
-                  start_label ldoc
-                    (Prng.pick prng (Array.of_list deletable)) })
-      | _ -> (
-          match texts with
-          | [] -> insert ()
-          | texts ->
-            (* Text stays non-empty: empty text nodes do not survive
-               serialization (see Snapshot.save). *)
-            Journal.Set_text
-              { anchor =
-                  start_label ldoc (Prng.pick prng (Array.of_list texts));
-                text = Printf.sprintf "t%d" k })
-    in
-    Journal.apply_entry ldoc entry;
-    script := entry :: !script
-  done;
-  List.rev !script
-
-(* {1 The oracle}
-
-   Labels and a content checksum after every prefix of the script,
-   computed on a pristine in-memory replay.  L-Tree label determinism
-   (paper §4.2) is what makes this a bit-exact oracle: recovery replays
-   the same entries through the same code, so the k-op prefix must
-   reproduce [labels.(k)] exactly, not merely isomorphically. *)
-
-type oracle = { labels : int array array; crcs : int array }
-
-let observe_labels ldoc =
-  Array.of_list (List.map snd (Labeled_doc.labeled_events ldoc))
-
-let doc_crc ldoc =
-  Checksum.crc32 (Serializer.to_string (Labeled_doc.document ldoc))
-
-let build_oracle config script =
-  let ldoc = fresh_ldoc config in
-  let labels = Array.make (config.ops + 1) [||] in
-  let crcs = Array.make (config.ops + 1) 0 in
-  let snap k =
-    labels.(k) <- observe_labels ldoc;
-    crcs.(k) <- doc_crc ldoc
-  in
-  snap 0;
-  List.iteri
-    (fun i entry ->
-      Journal.apply_entry ldoc entry;
-      snap (i + 1))
-    script;
-  { labels; crcs }
-
-(* {1 Registry hooks}
-
-   The durability invariants, phrased over a live store so both the
-   crash matrix and the self-check harness can register them. *)
-
-let register_invariants reg ~io ~dir ~expected_labels t =
-  Invariant.register reg ~name:"recovery.journal-checksum-valid"
-    ~depth:Invariant.Cheap (fun () ->
-      let scan = Durable_doc.scan_journal io ~dir in
-      match scan.Durable_doc.scan_fault with
-      | Some f ->
-        Invariant.fail ~name:"recovery.journal-checksum-valid"
-          "journal not clean: %s"
-          (Format.asprintf "%a" Durable_doc.pp_fault f)
-      | None ->
-        if scan.Durable_doc.dropped <> 0 then
-          Invariant.fail ~name:"recovery.journal-checksum-valid"
-            "%d unparsed chunks after the valid prefix"
-            scan.Durable_doc.dropped);
-  Invariant.register reg ~name:"recovery.snapshot-loadable"
-    ~depth:Invariant.Deep (fun () ->
-      match Durable_doc.newest_valid_snapshot io ~dir with
-      | Error faults ->
-        Invariant.fail ~name:"recovery.snapshot-loadable"
-          "no loadable snapshot generation: %s"
-          (String.concat "; "
-             (List.map
-                (fun f -> Format.asprintf "%a" Durable_doc.pp_fault f)
-                faults))
-      | Ok (Durable_doc.Previous, _, _, _, _) ->
-        Invariant.fail ~name:"recovery.snapshot-loadable"
-          "current snapshot unreadable (previous generation would load)"
-      | Ok (Durable_doc.Current, _, _, _, _) -> ());
-  Invariant.register reg ~name:"recovery.store-matches-oracle-prefix"
-    ~depth:Invariant.Deep (fun () ->
-      let got = observe_labels (Durable_doc.ldoc t) in
-      let want = expected_labels () in
-      if not (int_array_equal got want) then
-        Invariant.fail ~name:"recovery.store-matches-oracle-prefix"
-          "labels diverge from oracle: %d slots vs %d expected%s"
-          (Array.length got) (Array.length want)
-          (let limit = min (Array.length got) (Array.length want) in
-           let rec first i =
-             if i >= limit then ""
-             else if got.(i) <> want.(i) then
-               Printf.sprintf " (first diff at slot %d: %d vs %d)" i got.(i)
-                 want.(i)
-             else first (i + 1)
-           in
-           first 0))
-
-(* {1 Query-plan agreement}
-
-   After recovery the relational view must answer queries exactly as a
-   from-scratch shred of the oracle prefix does.  Dom ids differ across
-   document instances, so results are compared as sorted start-label
-   lists — labels are the cross-instance identity. *)
+   A descendant query over a fresh shred of the store must return what a
+   DOM walk over the same document finds — the walk knows nothing of
+   labels — and, after recovery, what the pristine document at the same
+   prefix returned.  Dom ids differ across document instances, so
+   results are compared as sorted start-label lists: labels are the
+   cross-instance identity. *)
 
 let top_tags ldoc =
   let counts = Hashtbl.create 16 in
-  let doc = Labeled_doc.document ldoc in
-  (match doc.Dom.root with
+  (match (Labeled_doc.document ldoc).Dom.root with
    | None -> ()
    | Some root ->
      Dom.iter_preorder root (fun n ->
@@ -225,326 +41,118 @@ let top_tags ldoc =
   let ranked =
     Hashtbl.fold (fun tag n acc -> (tag, n) :: acc) counts []
     |> List.sort (fun (ta, na) (tb, nb) ->
-           if na <> nb then Int.compare nb na else String.compare ta tb)
+           if na = nb then String.compare ta tb else Int.compare nb na)
   in
   match ranked with
   | (a, _) :: (b, _) :: _ -> (a, b)
   | [ (a, _) ] -> (a, a)
   | [] -> ("missing", "missing")
 
-let sorted_result_starts ldoc ids =
-  List.filter_map
-    (fun id ->
-      Option.map
-        (fun n -> (Labeled_doc.label ldoc n).Labeled_doc.start_pos)
-        (Labeled_doc.node_by_id ldoc id))
-    ids
-  |> List.sort Int.compare
+let start ldoc n = (Labeled_doc.label ldoc n).Labeled_doc.start_pos
+
+let has_tag tag n =
+  match Dom.kind n with Dom.Element t -> String.equal t tag | _ -> false
+
+(* [desc] elements with an [anc] element on their parent chain. *)
+let dom_walk_starts ldoc ~anc ~desc =
+  let rec under n =
+    match Dom.parent n with None -> false | Some p -> has_tag anc p || under p
+  in
+  let out = ref [] in
+  (match (Labeled_doc.document ldoc).Dom.root with
+   | None -> ()
+   | Some root ->
+     Dom.iter_preorder root (fun n ->
+         if has_tag desc n && under n then out := start ldoc n :: !out));
+  List.sort Int.compare !out
 
 let query_starts ldoc ~anc ~desc =
   let pager = Pager.create (Counters.create ()) in
   let store = Shredder.shred_label pager ldoc in
-  let indexed = Query.label_descendants pager store ~anc ~desc in
-  let baseline = Query.label_descendants_baseline pager store ~anc ~desc in
-  if not (List.equal Int.equal indexed baseline) then None
-  else Some (sorted_result_starts ldoc indexed)
+  let plan =
+    List.filter_map
+      (fun id -> Option.map (start ldoc) (Labeled_doc.node_by_id ldoc id))
+      (Query.label_descendants pager store ~anc ~desc)
+    |> List.sort Int.compare
+  in
+  if List.equal Int.equal plan (dom_walk_starts ldoc ~anc ~desc) then Some plan
+  else None
 
-(* {1 The matrix} *)
+let pristine_query ldoc =
+  let anc, desc = top_tags ldoc in
+  (anc, desc, query_starts ldoc ~anc ~desc)
 
-type outcome =
-  | Recovered of {
-      durable_seq : int;
-      attempted : int;
-      synced : int;
-      replayed : int;
-      dropped : int;
-      fault_kinds : string list;
-    }
-  | Unrecoverable of { fault_kinds : string list }
+let check_query queries _io durable t =
+  let anc, desc, want = queries.(durable) in
+  match (query_starts (Durable_doc.ldoc t) ~anc ~desc, want) with
+  | None, _ ->
+    [ Printf.sprintf "recovered store: label plan and DOM walk disagree on \
+                      %s//%s" anc desc ]
+  | _, None ->
+    [ Printf.sprintf "pristine store: label plan and DOM walk disagree on \
+                      %s//%s" anc desc ]
+  | Some got, Some want ->
+    if List.equal Int.equal got want then []
+    else
+      [ Printf.sprintf "%s//%s over recovered store: %d matches vs %d from \
+                        scratch" anc desc (List.length got) (List.length want) ]
 
-type cell = {
-  point : int;
-  mode : Fault.mode;
-  outcome : outcome;
-  failures : string list;
-}
+(* {1 The topology} *)
 
-(* The stable cell coordinate: write point x damage mode, e.g. "P37/torn".
-   Failure output prints it and [--only] parses it back, so one red cell
-   reruns without sweeping the matrix. *)
-let point_name ~point ~mode = Printf.sprintf "P%d/%s" point (Fault.mode_name mode)
-let cell_name c = point_name ~point:c.point ~mode:c.mode
-
-let parse_cell s =
-  match String.index_opt s '/' with
-  | None -> None
-  | Some slash ->
-    let coord = String.sub s 0 slash in
-    let mode = String.sub s (slash + 1) (String.length s - slash - 1) in
-    if String.length coord < 2 || not (Char.equal coord.[0] 'P') then None
-    else (
-      match
-        ( int_of_string_opt (String.sub coord 1 (String.length coord - 1)),
-          Fault.mode_of_name mode )
-      with
-      | Some point, Some mode when point > 0 -> Some (point, mode)
-      | _ -> None)
-
-type summary = {
-  config : config;
-  total_points : int;
-  init_points : int;
-  only : (int * Fault.mode) option;
-  cells : cell list;
-  failed_cells : int;
-  fault_counts : (string * int) list;
-}
-
-let ok s =
-  s.failed_cells = 0
-  && List.length s.cells
-     = (match s.only with Some _ -> 1 | None -> 3 * s.total_points)
-
-type progress_state = { mutable attempted : int; mutable synced : int }
-
-(* One workload execution against [sim]; [state] tracks the crash-time
-   bounds for the durable prefix: at any instant the durable sequence
-   number lies in [synced, attempted]. *)
-let run_workload config script sim state =
-  let io = Fault.sim_io sim in
+(* One workload execution against [sim]; returns the write points store
+   initialization consumed. *)
+let run_workload (config : FM.config) script sim (b : FM.bounds) =
   let t =
-    Durable_doc.initialize ~io ~group_commit:config.group_commit
-      ~dir:store_dir (fresh_ldoc config)
+    Durable_doc.initialize ~io:(Fault.sim_io sim)
+      ~group_commit:config.group_commit ~dir:store_dir (FM.base_ldoc config)
   in
   let init_points = Fault.points sim in
   List.iteri
     (fun i entry ->
-      state.attempted <- i + 1;
+      b.attempted <- i + 1;
       Durable_doc.apply t entry;
-      state.synced <- Durable_doc.last_seq t - Durable_doc.pending t;
+      b.synced <- Durable_doc.last_seq t - Durable_doc.pending t;
       if (i + 1) mod config.checkpoint_every = 0 then begin
         Durable_doc.checkpoint t;
-        state.synced <- Durable_doc.last_seq t
+        b.synced <- Durable_doc.last_seq t
       end)
     script;
   Durable_doc.sync t;
-  state.synced <- Durable_doc.last_seq t;
+  b.synced <- Durable_doc.last_seq t;
   init_points
 
-(* From-scratch query answers for the [durable]-op prefix, memoized:
-   many matrix cells land on the same durable prefix.  The cache is
-   shared across cells, which may evaluate on different domains, so
-   lookups and publication go through [cache_mu]; the (deterministic)
-   computation itself runs outside the lock, and the first published
-   value wins. *)
-let pristine_query config script ~cache_mu query_cache durable =
-  let cached =
-    Mutex.lock cache_mu;
-    let v = Hashtbl.find_opt query_cache durable in
-    Mutex.unlock cache_mu;
-    v
+let eval_cell config script oracle queries ~init_points point mode =
+  let plan = { Fault.crash_point = point; mode; seed = config.FM.seed } in
+  let sim = Fault.create_sim ~plan () in
+  let b = { FM.attempted = 0; synced = 0 } in
+  let crashed =
+    match run_workload config script sim b with
+    | (_ : int) -> false
+    | exception Fault.Crash _ -> true
   in
-  match cached with
-  | Some v -> v
-  | None ->
-    let pristine = fresh_ldoc config in
-    List.iteri
-      (fun i entry -> if i < durable then Journal.apply_entry pristine entry)
-      script;
-    let anc, desc = top_tags pristine in
-    let v = (anc, desc, query_starts pristine ~anc ~desc) in
-    Mutex.lock cache_mu;
-    let v =
-      match Hashtbl.find_opt query_cache durable with
-      | Some existing -> existing
-      | None ->
-        Hashtbl.replace query_cache durable v;
-        v
-    in
-    Mutex.unlock cache_mu;
-    v
-
-let verify config ~io ~script ~oracle ~cache_mu ~query_cache ~state ~report t =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let durable = report.Durable_doc.durable_seq in
-  if durable < state.synced || durable > state.attempted then
-    fail "durable seq %d outside [synced %d, attempted %d]" durable
-      state.synced state.attempted;
-  if durable < 0 || durable > config.ops then
-    fail "durable seq %d outside the script" durable
-  else begin
-    let ldoc = Durable_doc.ldoc t in
-    if not (int_array_equal (observe_labels ldoc) oracle.labels.(durable))
-    then
-      fail "recovered labels differ from oracle prefix %d" durable;
-    if doc_crc ldoc <> oracle.crcs.(durable) then
-      fail "recovered content checksum differs from oracle prefix %d" durable;
-    (* Full invariant pass over the recovered store. *)
-    let reg = Invariant.create () in
-    register_invariants reg ~io ~dir:store_dir
-      ~expected_labels:(fun () -> oracle.labels.(durable))
-      t;
-    Invariant.register reg ~name:"recovery.doc-consistent"
-      ~depth:Invariant.Deep (fun () -> Labeled_doc.check ldoc);
-    List.iter
-      (fun f -> fail "invariant %s: %s" f.Invariant.name f.Invariant.detail)
-      (Invariant.run_all ~depth:Invariant.Deep reg);
-    (* Query plans over the recovered store agree with a from-scratch
-       shred of the same prefix. *)
-    let anc, desc, want =
-      pristine_query config script ~cache_mu query_cache durable
-    in
-    match (query_starts ldoc ~anc ~desc, want) with
-    | None, _ ->
-      fail "recovered store: indexed and baseline %s//%s plans disagree" anc
-        desc
-    | _, None ->
-      fail "pristine store: indexed and baseline %s//%s plans disagree" anc
-        desc
-    | Some got, Some want ->
-      if not (List.equal Int.equal got want) then
-        fail "%s//%s over recovered store: %d matches vs %d from scratch" anc
-          desc (List.length got) (List.length want)
-  end;
-  List.rev !failures
+  FM.recover_crashed config ~what:"store" ~dir:store_dir ~sim ~crashed ~point
+    ~init_points b ~check:(check_query queries) oracle
 
 let run ?pool ?progress ?only config =
-  if config.ops < 1 then invalid_arg "Crash_matrix.run: ops must be >= 1";
-  (match only with
-   | Some (point, _) when point < 1 ->
-     invalid_arg "Crash_matrix.run: --only point must be >= 1"
-   | Some _ | None -> ());
-  let script = generate_script config in
-  let oracle = build_oracle config script in
-  let query_cache = Hashtbl.create 64 in
-  let cache_mu = Mutex.create () in
+  let script = FM.generate_script config in
+  (* The oracle pass visits every prefix, so it also records the pristine
+     query answer there. *)
+  let queries = Array.make (config.FM.ops + 1) ("", "", None) in
+  let oracle =
+    FM.build_oracle
+      ~each:(fun k ldoc -> queries.(k) <- pristine_query ldoc)
+      (FM.base_ldoc config) script
+  in
   (* Profile pass: same workload, no plan — learns the matrix width and
      how many write points initialization itself consumes. *)
   let profile_sim = Fault.create_sim () in
   let init_points =
-    run_workload config script profile_sim
-      { attempted = 0; synced = 0 }
+    run_workload config script profile_sim { FM.attempted = 0; synced = 0 }
   in
-  let total_points = Fault.points profile_sim in
-  (* Cells are independent — each builds its own fault-sim fs, document
-     and store — so they fan out across the pool.  The only shared
-     mutable pieces are the memoized query cache (mutex above) and the
-     progress counter (mutex below); fault tallies are aggregated from
-     the cell outcomes afterwards. *)
-  let progress_mu = Mutex.create () in
-  let done_cells = ref 0 in
-  let note_progress () =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_mu;
-      incr done_cells;
-      let d = !done_cells in
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock progress_mu)
-        (fun () ->
-          f ~done_cells:d
-            ~total:
-              (match only with Some _ -> 1 | None -> 3 * total_points))
-  in
-  let eval_cell (mode, point) =
-    let plan = { Fault.crash_point = point; mode; seed = config.seed } in
-    let sim = Fault.create_sim ~plan () in
-    let state = { attempted = 0; synced = 0 } in
-    let crashed =
-      match run_workload config script sim state with
-      | (_ : int) -> false
-      | exception Fault.Crash _ -> true
-    in
-    let files = Fault.dump sim in
-    let rsim = Fault.create_sim ~files () in
-    let io = Fault.sim_io rsim in
-    let outcome, failures =
-      match
-        Durable_doc.recover ~io ~group_commit:config.group_commit
-          ~dir:store_dir ()
-      with
-      | Error faults ->
-        let kinds = List.map Durable_doc.fault_kind faults in
-        ( Unrecoverable { fault_kinds = kinds },
-          (* Losing the whole store is only legitimate before the
-             very first checkpoint ever completed. *)
-          if state.attempted = 0 && point <= init_points then []
-          else
-            [ Printf.sprintf
-                "unrecoverable after %d applied ops (point %d): %s"
-                state.attempted point
-                (String.concat ", " kinds) ] )
-      | Ok (report, t) ->
-        let kinds =
-          List.map Durable_doc.fault_kind report.Durable_doc.faults
-        in
-        let failures =
-          verify config ~io ~script ~oracle ~cache_mu ~query_cache ~state
-            ~report t
-        in
-        let failures =
-          if crashed then failures
-          else "workload did not crash at an in-range point" :: failures
-        in
-        ( Recovered
-            { durable_seq = report.Durable_doc.durable_seq;
-              attempted = state.attempted;
-              synced = state.synced;
-              replayed = report.Durable_doc.entries_replayed;
-              dropped = report.Durable_doc.entries_dropped;
-              fault_kinds = kinds },
-          failures )
-    in
-    note_progress ();
-    { point; mode; outcome; failures }
-  in
-  let descrs =
-    match only with
-    | Some (point, mode) ->
-      if point > total_points then
-        invalid_arg
-          (Printf.sprintf
-             "Crash_matrix.run: --only point %d beyond the matrix (%d \
-              write points)"
-             point total_points);
-      [| (mode, point) |]
-    | None ->
-      Array.of_list
-        (List.concat_map
-           (fun mode -> List.init total_points (fun i -> (mode, i + 1)))
-           Fault.all_modes)
-  in
-  let cells =
-    match pool with
-    | Some pool -> Array.to_list (Ltree_exec.Pool.map ~chunk:1 pool eval_cell descrs)
-    | None -> Array.to_list (Array.map eval_cell descrs)
-  in
-  let fault_counts = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      let kinds =
-        match c.outcome with
-        | Recovered r -> r.fault_kinds
-        | Unrecoverable u -> u.fault_kinds
-      in
-      List.iter
-        (fun k ->
-          Hashtbl.replace fault_counts k
-            (1 + Option.value ~default:0 (Hashtbl.find_opt fault_counts k)))
-        kinds)
-    cells;
-  { config;
-    total_points;
-    init_points;
-    only;
-    cells;
-    failed_cells =
-      List.length
-        (List.filter
-           (fun c -> match c.failures with [] -> false | _ :: _ -> true)
-           cells);
-    fault_counts =
-      Hashtbl.fold (fun k n acc -> (k, n) :: acc) fault_counts []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b) }
+  FM.sweep ?pool ?progress ?only ~name:"Crash_matrix.run" grammar config
+    [ ((), { FM.points = Fault.points profile_sim; init_points }) ]
+    (fun id ->
+      match id with
+      | FM.At ((), point, mode) ->
+        eval_cell config script oracle queries ~init_points point mode
+      | FM.Probe _ -> invalid_arg "Crash_matrix.run: the store has no probes")

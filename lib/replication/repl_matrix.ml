@@ -1,184 +1,62 @@
+module FM = Ltree_recovery.Fault_matrix
 module Fault = Ltree_recovery.Fault
 module Durable_doc = Ltree_recovery.Durable_doc
-module Crash_matrix = Ltree_recovery.Crash_matrix
-module Checksum = Ltree_recovery.Checksum
 module Labeled_doc = Ltree_doc.Labeled_doc
 module Journal = Ltree_doc.Journal
-module Serializer = Ltree_xml.Serializer
-module Invariant = Ltree_analysis.Invariant
 
+(* Monomorphic comparison prelude (lint rule R2). *)
 let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
 let ( < ) : int -> int -> bool = Stdlib.( < )
 let ( > ) : int -> int -> bool = Stdlib.( > )
 let ( <= ) : int -> int -> bool = Stdlib.( <= )
 let ( >= ) : int -> int -> bool = Stdlib.( >= )
 
-type config = {
-  seed : int;
-  ops : int;
-  doc_nodes : int;
-  group_commit : int;
-  checkpoint_every : int;
-}
-
-let default_config =
-  { seed = 42; ops = 120; doc_nodes = 100; group_commit = 4;
-    checkpoint_every = 24 }
-
-let base_config config =
-  { Crash_matrix.seed = config.seed;
-    ops = config.ops;
-    doc_nodes = config.doc_nodes;
-    group_commit = config.group_commit;
-    checkpoint_every = config.checkpoint_every }
-
 (* Pumps allowed for a replica to drain a whole backlog: generous — a
    parked shipper or converged replica exits the loop early anyway. *)
-let quiesce_bound config = 512 + (8 * config.ops)
+let quiesce_bound (config : FM.config) = 512 + (8 * config.ops)
 
-type id =
-  | Primary_cell of int * Fault.mode
-  | Replica_cell of int * Fault.mode
-  | Channel_cell of int * Fault.mode
-  | Divergence_probe
+type site = Primary | Replica | Channel
 
-let id_name = function
-  | Primary_cell (p, m) ->
-    Printf.sprintf "primary:P%d/%s" p (Fault.mode_name m)
-  | Replica_cell (p, m) ->
-    Printf.sprintf "replica:P%d/%s" p (Fault.mode_name m)
-  | Channel_cell (n, m) ->
-    Printf.sprintf "channel:C%d/%s" n (Fault.mode_name m)
-  | Divergence_probe -> "probe:divergence"
-
-let parse_cell s =
-  if String.equal s "probe:divergence" then Some Divergence_probe
-  else
-    match String.index_opt s ':' with
-    | None -> None
-    | Some i -> (
-      let site = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      match String.index_opt rest '/' with
-      | None -> None
-      | Some j -> (
-        let coord = String.sub rest 0 j in
-        let mode_s = String.sub rest (j + 1) (String.length rest - j - 1) in
-        let num prefix =
-          if String.length coord < 2 || not (Char.equal coord.[0] prefix)
-          then None
-          else
-            match
-              int_of_string_opt (String.sub coord 1 (String.length coord - 1))
-            with
-            | Some n when n >= 1 -> Some n
-            | _ -> None
-        in
-        match Fault.mode_of_name mode_s with
-        | None -> None
-        | Some mode -> (
-          match site with
-          | "primary" ->
-            Option.map (fun p -> Primary_cell (p, mode)) (num 'P')
-          | "replica" ->
-            Option.map (fun p -> Replica_cell (p, mode)) (num 'P')
-          | "channel" ->
-            Option.map (fun n -> Channel_cell (n, mode)) (num 'C')
-          | _ -> None)))
+let grammar =
+  { FM.sites = [ Primary; Replica; Channel ];
+    prefix =
+      (function
+        | Primary -> "primary:"
+        | Replica -> "replica:"
+        | Channel -> "channel:");
+    unit = (function Primary | Replica -> 'P' | Channel -> 'C');
+    probes = [ "probe:divergence" ] }
 
 type outcome =
   | Promoted of { applied : int; attempted : int }
-  | Reattached of { recovered_seq : int; resumed_from : int }
+  | Reattached of FM.recovery
   | Resynced
   | No_pair
-  | Lost of { fault_kinds : string list }
   | Diverged_detected
   | Incomplete of { detail : string }
 
-type cell = { id : id; outcome : outcome; failures : string list }
+type summary = (site, outcome) FM.summary
 
-let cell_name c = id_name c.id
-
-type summary = {
-  config : config;
-  primary_points : int;
-  primary_init_points : int;
-  replica_points : int;
-  replica_init_points : int;
-  channel_sends : int;
-  only : id option;
-  cells : cell list;
-  failed_cells : int;
-}
-
-let expected_cells s =
-  match s.only with
-  | Some _ -> 1
-  | None ->
-    (3 * (s.primary_points + s.replica_points + s.channel_sends)) + 1
-
-let ok s = s.failed_cells = 0 && List.length s.cells = expected_cells s
-
-let describe s =
+let describe (s : summary) =
   Printf.sprintf
-    "replica matrix: %d cells (%d primary pts + %d replica pts + %d \
-     channel sends, x%d modes, + divergence probe): %s"
-    (List.length s.cells) s.primary_points s.replica_points s.channel_sends
+    "replica matrix: %d cells (%s, x%d modes, + divergence probe): %s"
+    (List.length s.FM.cells)
+    (String.concat " + "
+       (List.map
+          (fun (site, e) ->
+            Printf.sprintf "%d %s" e.FM.points
+              (match site with
+               | Primary -> "primary pts"
+               | Replica -> "replica pts"
+               | Channel -> "channel sends"))
+          s.FM.extents))
     (List.length Fault.all_modes)
-    (if s.failed_cells = 0 then "all verified"
-     else Printf.sprintf "%d FAILED" s.failed_cells)
-
-(* {1 Oracle comparison} *)
-
-let observe_labels ldoc =
-  Array.of_list (List.map snd (Labeled_doc.labeled_events ldoc))
-
-let doc_crc ldoc =
-  Checksum.crc32 (Serializer.to_string (Labeled_doc.document ldoc))
-
-let int_array_equal a b =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  Array.iteri (fun i x -> if x <> b.(i) then ok := false) a;
-  !ok
-
-(* [verify_store] checks a surviving store against the oracle prefix at
-   [expect_seq]: labels, serialized-content CRC, and the full durability
-   invariant registry (reused from the store-level matrix). *)
-let verify_store config ~io ~dir ~oracle ~expect_seq t =
-  let fails = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> fails := s :: !fails) fmt in
-  let got = Durable_doc.last_seq t in
-  if got <> expect_seq then
-    fail "store at seq %d, expected oracle prefix %d" got expect_seq;
-  if expect_seq < 0 || expect_seq > config.ops then
-    fail "prefix %d outside the script" expect_seq
-  else begin
-    let ldoc = Durable_doc.ldoc t in
-    if
-      not
-        (int_array_equal (observe_labels ldoc)
-           oracle.Crash_matrix.labels.(expect_seq))
-    then fail "labels differ from oracle prefix %d" expect_seq;
-    if doc_crc ldoc <> oracle.Crash_matrix.crcs.(expect_seq) then
-      fail "content checksum differs from oracle prefix %d" expect_seq;
-    let reg = Invariant.create () in
-    Crash_matrix.register_invariants reg ~io ~dir
-      ~expected_labels:(fun () -> oracle.Crash_matrix.labels.(expect_seq))
-      t;
-    Invariant.register reg ~name:"recovery.doc-consistent"
-      ~depth:Invariant.Deep (fun () -> Labeled_doc.check ldoc);
-    List.iter
-      (fun f -> fail "invariant %s: %s" f.Invariant.name f.Invariant.detail)
-      (Invariant.run_all ~depth:Invariant.Deep reg)
-  end;
-  List.rev !fails
+    (if s.FM.failed_cells = 0 then "all verified"
+     else Printf.sprintf "%d FAILED" s.FM.failed_cells)
 
 (* {1 The scripted session} *)
 
-let session_config config ~down_plan =
+let session_config (config : FM.config) ~down_plan =
   { Session.default_config with
     Session.group_commit = config.group_commit;
     replica_group_commit = config.group_commit;
@@ -194,12 +72,12 @@ type run_result =
 (* One scripted run: create the pair, apply the whole script, quiesce.
    Everything is deterministic, so an armed cell replays the exact clean
    run up to its trigger. *)
-let run_scripted config ~psim ~rsim ~down_plan ?on_created ldoc script =
-  let primary_io = Fault.sim_io psim and replica_io = Fault.sim_io rsim in
+let run_scripted config ~psim ~rsim ~down_plan ?on_created script =
   let sc = session_config config ~down_plan in
   match
-    Session.create ~config:sc ~primary_io ~primary_dir:"p" ~replica_io
-      ~replica_dir:"r" ldoc
+    Session.create ~config:sc ~primary_io:(Fault.sim_io psim)
+      ~primary_dir:"p" ~replica_io:(Fault.sim_io rsim) ~replica_dir:"r"
+      (FM.base_ldoc config)
   with
   | exception Fault.Crash { point; _ } -> Crashed_in_create { point }
   | session ->
@@ -216,15 +94,9 @@ let run_scripted config ~psim ~rsim ~down_plan ?on_created ldoc script =
     in
     go 0 script
 
-type profile = {
-  p_points : int;
-  p_init : int;
-  r_points : int;
-  r_init : int;
-  c_sends : int;
-}
-
-let profile_run config bc script =
+(* The uninjected run: the primary's and replica's write points and the
+   down-channel's sends. *)
+let profile_run config script =
   let psim = Fault.create_sim () and rsim = Fault.create_sim () in
   let p_init = ref 0 and r_init = ref 0 in
   match
@@ -232,16 +104,15 @@ let profile_run config bc script =
       ~on_created:(fun _ ->
         p_init := Fault.points psim;
         r_init := Fault.points rsim)
-      (Crash_matrix.base_ldoc bc) script
+      script
   with
   | Completed session ->
     if not (Session.caught_up session) then
       invalid_arg "Repl_matrix: uninjected profile run did not converge";
-    { p_points = Fault.points psim;
-      p_init = !p_init;
-      r_points = Fault.points rsim;
-      r_init = !r_init;
-      c_sends = (Channel.stats (Session.down session)).Channel.sent }
+    ( { FM.points = Fault.points psim; init_points = !p_init },
+      { FM.points = Fault.points rsim; init_points = !r_init },
+      { FM.points = (Channel.stats (Session.down session)).Channel.sent;
+        init_points = 0 } )
   | Crashed_in_create _ | Crashed_in_apply _ | Crashed_in_quiesce _ ->
     invalid_arg "Repl_matrix: uninjected profile run crashed"
 
@@ -250,8 +121,8 @@ let profile_run config bc script =
 (* Primary crash: kill the primary at write point [p], fail over, and
    check the promoted replica is a bit-exact oracle prefix no longer
    than what the primary ever attempted. *)
-let eval_primary config ~bc ~script ~oracle ~prof (point, mode) =
-  let plan = { Fault.crash_point = point; mode; seed = config.seed } in
+let eval_primary config ~script ~oracle ~init_points point mode =
+  let plan = { Fault.crash_point = point; mode; seed = config.FM.seed } in
   let psim = Fault.create_sim ~plan () in
   let rsim = Fault.create_sim () in
   let promote session ~attempted =
@@ -269,29 +140,25 @@ let eval_primary config ~bc ~script ~oracle ~prof (point, mode) =
         [ Printf.sprintf "failover refused: %s" detail ] )
     | Ok (_report, promoted) ->
       let applied = Durable_doc.last_seq promoted in
-      let fails = ref [] in
-      if applied < 0 || applied > attempted then
-        fails :=
+      let bound =
+        if applied < 0 || applied > attempted then
           [ Printf.sprintf "promoted store at seq %d, outside [0, \
-                            attempted %d]" applied attempted ];
-      if Durable_doc.epoch promoted <= old_epoch then
-        fails :=
-          Printf.sprintf "promoted epoch %d not above the dead \
-                          primary's %d"
-            (Durable_doc.epoch promoted) old_epoch
-          :: !fails;
-      let vfails =
-        if applied >= 0 && applied <= config.ops then
-          verify_store config ~io:(Fault.sim_io rsim) ~dir:"r" ~oracle
-            ~expect_seq:applied promoted
+                            attempted %d]" applied attempted ]
         else []
       in
-      (Promoted { applied; attempted }, List.rev !fails @ vfails)
+      let epoch =
+        if Durable_doc.epoch promoted <= old_epoch then
+          [ Printf.sprintf "promoted epoch %d not above the dead \
+                            primary's %d"
+              (Durable_doc.epoch promoted) old_epoch ]
+        else []
+      in
+      ( Promoted { applied; attempted },
+        bound @ epoch
+        @ FM.verify_store ~what:"promoted store" ~io:(Fault.sim_io rsim)
+            ~dir:"r" oracle ~prefix:applied promoted )
   in
-  match
-    run_scripted config ~psim ~rsim ~down_plan:Channel.ideal
-      (Crash_matrix.base_ldoc bc) script
-  with
+  match run_scripted config ~psim ~rsim ~down_plan:Channel.ideal script with
   | Completed _ ->
     ( Incomplete { detail = "primary did not crash" },
       [ Printf.sprintf "primary did not crash at in-range point %d" point ] )
@@ -300,11 +167,11 @@ let eval_primary config ~bc ~script ~oracle ~prof (point, mode) =
        Legitimate only while the primary was still laying down its own
        initial files and the bootstrap snapshot. *)
     ( No_pair,
-      if point <= prof.p_init then []
+      if point <= init_points then []
       else
         [ Printf.sprintf
             "session establishment crashed at point %d (init ends at %d)"
-            at prof.p_init ] )
+            at init_points ] )
   | Crashed_in_apply { session; index } ->
     promote session ~attempted:(index + 1)
   | Crashed_in_quiesce { session } -> promote session ~attempted:config.ops
@@ -313,127 +180,95 @@ let eval_primary config ~bc ~script ~oracle ~prof (point, mode) =
    it from its own surviving files, re-attach it to the live session,
    finish the script, and check the replica converges to the full
    oracle. *)
-let eval_replica config ~bc ~script ~oracle ~prof (point, mode) =
-  let plan = { Fault.crash_point = point; mode; seed = config.seed } in
+let eval_replica config ~script ~oracle ~init_points point mode =
+  let plan = { Fault.crash_point = point; mode; seed = config.FM.seed } in
   let psim = Fault.create_sim () in
   let rsim = Fault.create_sim ~plan () in
-  match
-    run_scripted config ~psim ~rsim ~down_plan:Channel.ideal
-      (Crash_matrix.base_ldoc bc) script
-  with
+  match run_scripted config ~psim ~rsim ~down_plan:Channel.ideal script with
   | Completed _ ->
     ( Incomplete { detail = "replica did not crash" },
       [ Printf.sprintf "replica did not crash at in-range point %d" point ] )
-  | crashed -> (
-    let session, resume_from, attempted =
-      match crashed with
-      | Crashed_in_create _ -> (None, 0, 0)
-      | Crashed_in_apply { session; index } ->
-        (Some session, index + 1, index + 1)
-      | Crashed_in_quiesce { session } -> (Some session, config.ops, config.ops)
-      | Completed _ -> assert false
+  | crash ->
+    let session, attempted =
+      match crash with
+      | Crashed_in_apply { session; index } -> (Some session, index + 1)
+      | Crashed_in_quiesce { session } -> (Some session, config.ops)
+      | Crashed_in_create _ | Completed _ -> (None, 0)
     in
-    let files = Fault.dump rsim in
-    let rsim2 = Fault.create_sim ~files () in
-    let io2 = Fault.sim_io rsim2 in
-    match
-      Durable_doc.recover ~io:io2 ~group_commit:config.group_commit ~dir:"r"
-        ()
-    with
-    | Error faults ->
-      let kinds = List.map Durable_doc.fault_kind faults in
-      ( Lost { fault_kinds = kinds },
-        (* A replica may lose everything only before its bootstrap
-           snapshot ever landed. *)
-        if point <= prof.r_init && attempted = 0 then []
-        else
-          [ Printf.sprintf
-              "replica unrecoverable at point %d after %d applied ops: %s"
-              point attempted
-              (String.concat ", " kinds) ] )
-    | Ok (report, store) -> (
-      let recovered = report.Durable_doc.durable_seq in
-      let bound_fails =
-        if recovered < 0 || recovered > attempted then
-          [ Printf.sprintf "recovered replica at seq %d, outside [0, \
-                            attempted %d]" recovered attempted ]
-        else []
-      in
-      let pre_fails =
-        bound_fails
-        @ verify_store config ~io:io2 ~dir:"r" ~oracle ~expect_seq:recovered
-            store
-      in
+    (* The replica's durable prefix is bounded by what the primary had
+       started; nothing tracks a tighter synced floor. *)
+    let b = { FM.attempted; synced = 0 } in
+    let reattach io _durable store =
       match session with
       | None ->
         (* Crash during establishment: no session survives to re-attach
            to; the recovered prefix itself must still verify. *)
-        (Reattached { recovered_seq = recovered; resumed_from = 0 }, pre_fails)
-      | Some session ->
-        let (_ : Replica.t) =
-          Session.replace_replica ~io:io2 ~store session
+        []
+      | Some session -> (
+        let (_ : Replica.t) = Session.replace_replica ~io ~store session in
+        List.iteri
+          (fun i e -> if i >= attempted then Session.apply session e)
+          script;
+        let caught =
+          Session.quiesce ~max_pumps:(quiesce_bound config) session
         in
-        let rest = List.filteri (fun i _ -> i >= resume_from) script in
-        List.iter (fun e -> Session.apply session e) rest;
-        let caught = Session.quiesce ~max_pumps:(quiesce_bound config) session in
-        let fails =
-          (if caught then []
-           else [ "replica failed to catch up after re-attach" ])
-          @ pre_fails
-        in
-        let fails =
-          match Replica.store (Session.replica session) with
-          | None -> "re-attached replica has no store" :: fails
-          | Some t ->
-            fails
-            @ verify_store config ~io:io2 ~dir:"r" ~oracle
-                ~expect_seq:config.ops t
-        in
-        (Reattached { recovered_seq = recovered; resumed_from = resume_from },
-         fails)))
+        (if caught then []
+         else [ "replica failed to catch up after re-attach" ])
+        @
+        match Replica.store (Session.replica session) with
+        | None -> [ "re-attached replica has no store" ]
+        | Some t ->
+          FM.verify_store ~what:"re-attached replica" ~io ~dir:"r" oracle
+            ~prefix:config.ops t)
+    in
+    let recovery, failures =
+      FM.recover_crashed config ~what:"replica" ~dir:"r" ~sim:rsim
+        ~crashed:true ~point ~init_points b ~check:reattach oracle
+    in
+    (Reattached recovery, failures)
 
 (* Channel sever: cut the stream at the [n]th chunk (damaged per the
    mode), let the shipper burn its retries, reconnect, and check the
    replica fully resyncs. *)
-let eval_channel config ~bc ~script ~oracle (n, mode) =
+let eval_channel config ~script ~oracle n mode =
   let psim = Fault.create_sim () and rsim = Fault.create_sim () in
   let down_plan =
-    { Channel.ideal with Channel.seed = config.seed; sever_at = Some (n, mode) }
+    { Channel.ideal with
+      Channel.seed = config.FM.seed; sever_at = Some (n, mode) }
   in
-  match
-    run_scripted config ~psim ~rsim ~down_plan (Crash_matrix.base_ldoc bc)
-      script
-  with
+  match run_scripted config ~psim ~rsim ~down_plan script with
   | Crashed_in_create _ | Crashed_in_apply _ | Crashed_in_quiesce _ ->
     ( Incomplete { detail = "unexpected crash" },
       [ "unarmed stores crashed in a channel cell" ] )
   | Completed session ->
-    let fails = ref [] in
-    let fail fmt = Printf.ksprintf (fun s -> fails := s :: !fails) fmt in
-    if not (Channel.severed (Session.down session)) then
-      fail "channel sever at send %d never triggered" n;
+    let severed =
+      if Channel.severed (Session.down session) then []
+      else [ Printf.sprintf "channel sever at send %d never triggered" n ]
+    in
     Session.reconnect session;
-    if not (Session.quiesce ~max_pumps:(quiesce_bound config) session) then
-      fail "replica failed to resync after reconnect";
-    let vfails =
+    let resynced =
+      if Session.quiesce ~max_pumps:(quiesce_bound config) session then []
+      else [ "replica failed to resync after reconnect" ]
+    in
+    ( Resynced,
+      severed @ resynced
+      @
       match Replica.store (Session.replica session) with
       | None -> [ "replica unbootstrapped after resync" ]
       | Some t ->
-        verify_store config ~io:(Fault.sim_io rsim) ~dir:"r" ~oracle
-          ~expect_seq:config.ops t
-    in
-    (Resynced, List.rev !fails @ vfails)
+        FM.verify_store ~what:"resynced replica" ~io:(Fault.sim_io rsim)
+          ~dir:"r" oracle ~prefix:config.ops t )
 
 (* Divergence probe: a rogue write sneaks into the replica's store
    outside the stream mid-run; the handshake discipline must detect it,
    and both reads and promotion must refuse. *)
-let eval_probe config ~bc ~script =
+let eval_probe config ~script =
   let psim = Fault.create_sim () and rsim = Fault.create_sim () in
   let sc = session_config config ~down_plan:Channel.ideal in
   let session =
     Session.create ~config:sc ~primary_io:(Fault.sim_io psim)
       ~primary_dir:"p" ~replica_io:(Fault.sim_io rsim) ~replica_dir:"r"
-      (Crash_matrix.base_ldoc bc)
+      (FM.base_ldoc config)
   in
   let half = List.length script / 2 in
   let first = List.filteri (fun i _ -> i < half) script in
@@ -473,109 +308,22 @@ let eval_probe config ~bc ~script =
              (Format.asprintf "%a" Replica.pp_error e))));
   (Diverged_detected, List.rev !fails)
 
-(* {1 The sweep} *)
+(* {1 The topology} *)
 
 let run ?pool ?progress ?only ?inject config =
-  let bc = base_config config in
-  let script = Crash_matrix.generate_script bc in
-  let oracle = Crash_matrix.build_oracle bc script in
-  let prof = profile_run config bc script in
-  (match only with
-   | Some (Primary_cell (p, _)) when p > prof.p_points ->
-     invalid_arg
-       (Printf.sprintf
-          "Repl_matrix.run: --only primary point %d beyond the matrix (%d)"
-          p prof.p_points)
-   | Some (Replica_cell (p, _)) when p > prof.r_points ->
-     invalid_arg
-       (Printf.sprintf
-          "Repl_matrix.run: --only replica point %d beyond the matrix (%d)"
-          p prof.r_points)
-   | Some (Channel_cell (n, _)) when n > prof.c_sends ->
-     invalid_arg
-       (Printf.sprintf
-          "Repl_matrix.run: --only channel send %d beyond the matrix (%d)"
-          n prof.c_sends)
-   | _ -> ());
-  let descrs =
-    match only with
-    | Some id -> [| id |]
-    | None ->
-      Array.of_list
-        (List.concat_map
-           (fun mode ->
-             List.init prof.p_points (fun i -> Primary_cell (i + 1, mode))
-             @ List.init prof.r_points (fun i -> Replica_cell (i + 1, mode))
-             @ List.init prof.c_sends (fun i -> Channel_cell (i + 1, mode)))
-           Fault.all_modes
-        @ [ Divergence_probe ])
-  in
-  let total = Array.length descrs in
-  (* Cells are independent — each owns its fault sims, channels,
-     document, and both stores — so they fan out across the pool.  The
-     only shared mutable piece is the progress counter below. *)
-  let progress_mu = Mutex.create () in
-  let done_cells = ref 0 in
-  let note_progress () =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_mu;
-      incr done_cells;
-      let d = !done_cells in
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock progress_mu)
-        (fun () -> f ~done_cells:d ~total)
-  in
-  let eval_cell id =
-    if Ltree_obs.Recorder.is_enabled () then
-      Ltree_obs.Recorder.note ~kind:"cell"
-        ~attrs:[ ("phase", "start") ]
-        (id_name id);
-    let outcome, failures =
+  let script = FM.generate_script config in
+  let oracle = FM.build_oracle (FM.base_ldoc config) script in
+  let primary, replica, channel = profile_run config script in
+  FM.sweep ?pool ?progress ?only ?inject ~name:"Repl_matrix.run" grammar
+    config
+    [ (Primary, primary); (Replica, replica); (Channel, channel) ]
+    (fun id ->
       match id with
-      | Primary_cell (p, m) ->
-        eval_primary config ~bc ~script ~oracle ~prof (p, m)
-      | Replica_cell (p, m) ->
-        eval_replica config ~bc ~script ~oracle ~prof (p, m)
-      | Channel_cell (n, m) -> eval_channel config ~bc ~script ~oracle (n, m)
-      | Divergence_probe -> eval_probe config ~bc ~script
-    in
-    (* The injection hook forces a named cell to fail so the
-       bundle-on-failure path can be exercised end to end (obs-smoke);
-       it must look exactly like a real verification failure. *)
-    let failures =
-      match inject with
-      | Some inj when String.equal (id_name inj) (id_name id) ->
-        "injected failure (--inject-cell-failure)" :: failures
-      | _ -> failures
-    in
-    (match failures with
-     | [] -> ()
-     | f :: _ ->
-       if Ltree_obs.Recorder.is_enabled () then
-         Ltree_obs.Recorder.note ~kind:"cell"
-           ~attrs:[ ("phase", "failed"); ("failure", f) ]
-           (id_name id));
-    note_progress ();
-    { id; outcome; failures }
-  in
-  let cells =
-    match pool with
-    | Some pool ->
-      Array.to_list (Ltree_exec.Pool.map ~chunk:1 pool eval_cell descrs)
-    | None -> Array.to_list (Array.map eval_cell descrs)
-  in
-  { config;
-    primary_points = prof.p_points;
-    primary_init_points = prof.p_init;
-    replica_points = prof.r_points;
-    replica_init_points = prof.r_init;
-    channel_sends = prof.c_sends;
-    only;
-    cells;
-    failed_cells =
-      List.length
-        (List.filter
-           (fun c -> match c.failures with [] -> false | _ :: _ -> true)
-           cells) }
+      | FM.At (Primary, p, mode) ->
+        eval_primary config ~script ~oracle ~init_points:primary.FM.init_points
+          p mode
+      | FM.At (Replica, p, mode) ->
+        eval_replica config ~script ~oracle ~init_points:replica.FM.init_points
+          p mode
+      | FM.At (Channel, n, mode) -> eval_channel config ~script ~oracle n mode
+      | FM.Probe _ -> eval_probe config ~script)

@@ -1,112 +1,58 @@
-(** The replica-level crash matrix: the {!Ltree_recovery.Crash_matrix}
-    discipline lifted to a replicated pair.
+(** The primary-plus-replica topology of the
+    {!Ltree_recovery.Fault_matrix} engine: the store-level discipline
+    lifted to a replicated pair.
 
-    One matrix run shares a seeded script and bit-exact oracle with the
-    store-level matrix (same generator, same prefix labels and CRCs —
-    L-Tree label determinism, paper §4.2), then sweeps three sites of
-    failure, each in every {!Ltree_recovery.Fault.mode}:
+    It shares the engine's seeded script and bit-exact oracle, then
+    sweeps three sites of failure, each in every
+    {!Ltree_recovery.Fault.mode}:
 
-    - {b primary} cells kill the primary's store at every write point;
-      the replica is promoted ({!Session.failover}) and the survivor
-      must be a bit-exact oracle prefix no longer than what the primary
-      attempted, at a higher epoch;
-    - {b replica} cells kill the replica's store at every one of {e its}
-      write points; it recovers from its own surviving files,
-      re-attaches ({!Session.replace_replica}), finishes the script and
-      must converge to the full oracle — total loss is accepted only
-      before the bootstrap snapshot landed;
-    - {b channel} cells sever the record stream at every chunk (the cut
-      chunk damaged per the mode); after {!Session.reconnect} the
-      replica must fully resync;
+    - {b primary} cells ([primary:P<n>/<mode>]) kill the primary's store
+      at every write point; the replica is promoted
+      ({!Session.failover}) and the survivor must be a bit-exact oracle
+      prefix no longer than what the primary attempted, at a higher
+      epoch;
+    - {b replica} cells ([replica:P<n>/<mode>]) kill the replica's store
+      at every one of {e its} write points; it recovers from its own
+      surviving files, re-attaches ({!Session.replace_replica}),
+      finishes the script and must converge to the full oracle — total
+      loss is accepted only before the bootstrap snapshot landed;
+    - {b channel} cells ([channel:C<n>/<mode>]) sever the record stream
+      at every chunk (the cut chunk damaged per the mode); after
+      {!Session.reconnect} the replica must fully resync;
 
-    plus one divergence probe: a rogue write into the replica's store
-    outside the stream must be detected, and reads and promotion must
-    refuse.
+    plus one divergence probe ([probe:divergence]): a rogue write into
+    the replica's store outside the stream must be detected, and reads
+    and promotion must refuse. *)
 
-    Everything derives from [config.seed], so any failing cell replays
-    exactly via [--only]. *)
+type site = Primary | Replica | Channel
 
-type config = {
-  seed : int;
-  ops : int;  (** script length *)
-  doc_nodes : int;  (** target size of the base document *)
-  group_commit : int;  (** both stores *)
-  checkpoint_every : int;
-}
-
-val default_config : config
-(** [{seed = 42; ops = 120; doc_nodes = 100; group_commit = 4;
-    checkpoint_every = 24}] *)
-
-type id =
-  | Primary_cell of int * Ltree_recovery.Fault.mode
-      (** primary write point *)
-  | Replica_cell of int * Ltree_recovery.Fault.mode
-      (** replica write point *)
-  | Channel_cell of int * Ltree_recovery.Fault.mode
-      (** 1-based down-channel send *)
-  | Divergence_probe
-
-(** [parse_cell s] parses a cell coordinate as printed in failure
-    output: ["primary:P12/torn"], ["replica:P5/clean"],
-    ["channel:C9/flip"], or ["probe:divergence"].  [None] otherwise. *)
-val parse_cell : string -> id option
+val grammar : site Ltree_recovery.Fault_matrix.grammar
 
 type outcome =
   | Promoted of { applied : int; attempted : int }
-  | Reattached of { recovered_seq : int; resumed_from : int }
+  | Reattached of Ltree_recovery.Fault_matrix.recovery
+      (** the replica's own recovery ([Unrecoverable]: lost before its
+          bootstrap snapshot landed) *)
   | Resynced
   | No_pair
       (** the primary died before the pair finished establishing *)
-  | Lost of { fault_kinds : string list }
-      (** the replica's store was unrecoverable (pre-bootstrap only) *)
   | Diverged_detected
   | Incomplete of { detail : string }  (** the cell never reached its
                                            verdict — always a failure *)
 
-type cell = { id : id; outcome : outcome; failures : string list }
-
-(** [cell_name c] is the cell's stable coordinate (inverse of
-    {!parse_cell}) — printed with every failure and accepted back by
-    [--only]. *)
-val cell_name : cell -> string
-
-type summary = {
-  config : config;
-  primary_points : int;  (** primary write points in one clean run *)
-  primary_init_points : int;  (** consumed by session establishment *)
-  replica_points : int;
-  replica_init_points : int;  (** consumed by the bootstrap install *)
-  channel_sends : int;  (** down-channel chunks in one clean run *)
-  only : id option;
-  cells : cell list;
-  failed_cells : int;
-}
-
-(** [ok s]: every cell verified and the sweep was complete. *)
-val ok : summary -> bool
+type summary = (site, outcome) Ltree_recovery.Fault_matrix.summary
 
 (** [describe s] is a one-line human summary of the sweep. *)
 val describe : summary -> string
 
-(** [run ?pool ?progress ?only ?inject config] executes the sweep.
-    Cells are independent (each owns its sims, channels, and both
-    stores) and fan out across [pool] when given; [progress] is
-    serialized under a mutex with a monotone [done_cells].  [only]
-    restricts the sweep to one cell — the profile pass still runs, so
-    the cell replays against the exact write-point and send numbering
-    of the full matrix.  [inject] forces the named cell to report one
-    synthetic verification failure (indistinguishable from a real one
-    downstream) — the hook behind [--inject-cell-failure], used to
-    exercise the flight-recorder bundle path.  Each evaluated cell
-    notes start/failure events (kind ["cell"], name = the exact cell
-    coordinate) into {!Ltree_obs.Recorder} when recording is on.
-    Raises [Invalid_argument] when the requested coordinate is outside
-    the profiled matrix. *)
+(** [run ?pool ?progress ?only ?inject config] sweeps every site through
+    {!Ltree_recovery.Fault_matrix.sweep} (which documents [pool],
+    [progress], [only] and [inject]).  Raises [Invalid_argument] when
+    the uninjected profile run crashes or does not converge. *)
 val run :
   ?pool:Ltree_exec.Pool.t ->
   ?progress:(done_cells:int -> total:int -> unit) ->
-  ?only:id ->
-  ?inject:id ->
-  config ->
+  ?only:site Ltree_recovery.Fault_matrix.id ->
+  ?inject:site Ltree_recovery.Fault_matrix.id ->
+  Ltree_recovery.Fault_matrix.config ->
   summary

@@ -1,30 +1,19 @@
-module Labeled_doc = Ltree_doc.Labeled_doc
-module Journal = Ltree_doc.Journal
-module Serializer = Ltree_xml.Serializer
-module Xml_gen = Ltree_workload.Xml_gen
-module Invariant = Ltree_analysis.Invariant
+module FM = Ltree_recovery.Fault_matrix
 module Fault = Ltree_recovery.Fault
 module Durable_doc = Ltree_recovery.Durable_doc
-module Crash_matrix = Ltree_recovery.Crash_matrix
-module Checksum = Ltree_recovery.Checksum
 
 (* Monomorphic comparison prelude (lint rule R2). *)
 let ( = ) : int -> int -> bool = Stdlib.( = )
 let ( <> ) : int -> int -> bool = Stdlib.( <> )
 let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
 
-(* The shard-level crash matrix: run the whole sharded stack, kill
-   exactly {e one} shard's disk at every one of its write points in
-   every damage mode, recover that shard {e alone} from its surviving
-   files, and verify the whole document:
+(* The shard-level topology: run the whole sharded stack, kill exactly
+   {e one} shard's disk at every one of its write points in every
+   damage mode, recover that shard {e alone} from its surviving files,
+   and verify the whole document:
 
-   - the recovered shard's labels and content CRC are bit-identical to
-     its local oracle at the durable prefix, and the durable prefix
-     lies in [[synced_j, attempted_j]] for that shard;
-   - the standard durability invariants pass over the recovered store;
+   - the recovered shard verifies against its local oracle at the
+     durable prefix, which lies in [[synced_j, attempted_j]];
    - every {e other} shard still sits at its full applied local prefix
      (a crash is contained: one shard's disk damage never touches a
      sibling's store);
@@ -32,69 +21,31 @@ let ( >= ) : int -> int -> bool = Stdlib.( >= )
      whose owning-shard commit completed — so recovered shard + live
      siblings + router compose back into the global oracle's document.
 
-   Everything derives from [config.seed]: the same global script as
-   {!Crash_matrix.generate_script} (global anchors route through the
-   sharded store unchanged), per-shard local scripts learned from a
-   clean profile run, per-shard write points learned from each shard's
-   own fault sim. *)
-
-type config = {
-  seed : int;
-  ops : int;  (** global script length *)
-  doc_nodes : int;
-  shards : int;
-  group_commit : int;
-  checkpoint_every : int;  (** global ops between all-shard rotations *)
-}
+   The global script is the engine's (global anchors route through the
+   sharded store unchanged); per-shard local scripts and write points
+   are learned from one clean profile run. *)
 
 let default_config =
-  { seed = 42; ops = 120; doc_nodes = 100; shards = 3; group_commit = 4;
+  { FM.seed = 42; ops = 120; doc_nodes = 100; group_commit = 4;
     checkpoint_every = 24 }
 
+let default_shards = 3
 let store_dir = "store"
 
-let crash_config config =
-  { Crash_matrix.seed = config.seed;
-    ops = config.ops;
-    doc_nodes = config.doc_nodes;
-    group_commit = config.group_commit;
-    checkpoint_every = config.checkpoint_every }
+let grammar ~shards =
+  { FM.sites = List.init shards Fun.id;
+    prefix = Printf.sprintf "S%d/";
+    unit = (fun _ -> 'P');
+    probes = [] }
 
-let make_doc config =
-  Xml_gen.generate ~seed:config.seed
-    (Xml_gen.default_profile ~target_nodes:config.doc_nodes ())
+type outcome = FM.recovery
+type summary = (int, outcome) FM.summary
 
-let generate_script config = Crash_matrix.generate_script (crash_config config)
+let build_sharded ?sim_for ~shards (config : FM.config) =
+  Sharded_doc.create ~group_commit:config.group_commit ?sim_for ~shards
+    (FM.base_document config)
 
-let observe_labels ldoc =
-  Array.of_list (List.map snd (Labeled_doc.labeled_events ldoc))
-
-let doc_crc ldoc =
-  Checksum.crc32 (Serializer.to_string (Labeled_doc.document ldoc))
-
-let int_array_equal a b =
-  Array.length a = Array.length b
-  &&
-  let rec go i = i >= Array.length a || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
-
-(* {1 Profile pass}
-
-   One clean run of the whole sharded workload: learns each shard's
-   local script (via the local-entry hook), each shard's write-point
-   count and how many points its initialization consumed. *)
-
-type shard_profile = {
-  locals : Journal.entry array;  (** the shard's local script, in order *)
-  init_points : int;
-  total_points : int;
-}
-
-let build_sharded ?sim_for config =
-  Sharded_doc.create ~group_commit:config.group_commit ?sim_for
-    ~shards:config.shards (make_doc config)
-
-let drive ?on_op ?on_checkpoint config script sdoc =
+let drive ?on_op ?on_checkpoint (config : FM.config) script sdoc =
   List.iteri
     (fun i entry ->
       Sharded_doc.apply sdoc entry;
@@ -106,301 +57,110 @@ let drive ?on_op ?on_checkpoint config script sdoc =
     script;
   Sharded_doc.sync sdoc
 
-let profile config script =
-  let sdoc = build_sharded config in
+(* {1 Profile pass}
+
+   One clean run of the whole sharded workload: learns each shard's
+   local script (via the local-entry hook), each shard's write-point
+   count and how many points its initialization consumed. *)
+
+let profile ~shards config script =
+  let sdoc = build_sharded ~shards config in
   let init_points =
-    Array.init config.shards (fun j -> Fault.points (Sharded_doc.shard_sim sdoc j))
+    Array.init shards (fun j -> Fault.points (Sharded_doc.shard_sim sdoc j))
   in
-  let locals = Array.make config.shards [] in
+  let locals = Array.make shards [] in
   Sharded_doc.set_local_entry_hook sdoc
     (Some (fun sid e -> locals.(sid) <- e :: locals.(sid)));
   drive config script sdoc;
-  Array.init config.shards (fun j ->
-      { locals = Array.of_list (List.rev locals.(j));
-        init_points = init_points.(j);
-        total_points = Fault.points (Sharded_doc.shard_sim sdoc j) })
-
-(* {1 Oracles}
-
-   A local oracle per shard — labels + content CRC after every prefix
-   of the shard's local script, replayed on a pristine copy of the
-   shard's initial document — plus the global oracle over the router
-   (shared with the unsharded matrix).  L-Tree label determinism makes
-   both bit-exact. *)
-
-type oracle = { labels : int array array; crcs : int array }
-
-let shard_oracles config profiles =
-  let pristine = build_sharded config in
-  Array.mapi
-    (fun j prof ->
-      let ldoc = Sharded_doc.shard_ldoc pristine j in
-      let n = Array.length prof.locals in
-      let labels = Array.make (n + 1) [||] in
-      let crcs = Array.make (n + 1) 0 in
-      labels.(0) <- observe_labels ldoc;
-      crcs.(0) <- doc_crc ldoc;
-      Array.iteri
-        (fun i e ->
-          Journal.apply_entry ldoc e;
-          labels.(i + 1) <- observe_labels ldoc;
-          crcs.(i + 1) <- doc_crc ldoc)
-        prof.locals;
-      { labels; crcs })
-    profiles
-
-(* {1 Results} *)
-
-type outcome =
-  | Recovered of {
-      durable_seq : int;
-      attempted : int;  (** local ops the shard started before the crash *)
-      synced : int;  (** last known-durable local seq before the crash *)
-      fault_kinds : string list;
-    }
-  | Unrecoverable of { fault_kinds : string list }
-
-type cell = {
-  shard : int;
-  point : int;
-  mode : Fault.mode;
-  outcome : outcome;
-  failures : string list;
-}
-
-let point_name ~shard ~point ~mode =
-  Printf.sprintf "S%d/P%d/%s" shard point (Fault.mode_name mode)
-
-let cell_name c = point_name ~shard:c.shard ~point:c.point ~mode:c.mode
-
-let parse_cell s =
-  match String.index_opt s '/' with
-  | None -> None
-  | Some slash ->
-    let coord = String.sub s 0 slash in
-    let rest = String.sub s (slash + 1) (String.length s - slash - 1) in
-    if String.length coord < 2 || not (Char.equal coord.[0] 'S') then None
-    else (
-      match
-        ( int_of_string_opt (String.sub coord 1 (String.length coord - 1)),
-          Crash_matrix.parse_cell rest )
-      with
-      | Some shard, Some (point, mode) when shard >= 0 ->
-        Some (shard, point, mode)
-      | _ -> None)
-
-type summary = {
-  config : config;
-  total_points : int array;  (** per-shard write points, clean run *)
-  init_points : int array;
-  only : (int * int * Fault.mode) option;
-  cells : cell list;
-  failed_cells : int;
-}
-
-let ok s =
-  s.failed_cells = 0
-  && List.length s.cells
-     = (match s.only with
-        | Some _ -> 1
-        | None -> 3 * Array.fold_left ( + ) 0 s.total_points)
+  ( Array.map List.rev locals,
+    Array.init shards (fun j ->
+        ( j,
+          { FM.points = Fault.points (Sharded_doc.shard_sim sdoc j);
+            init_points = init_points.(j) } )) )
 
 (* {1 One cell} *)
 
-type cell_state = {
-  mutable attempted : int;  (** local ops started on the armed shard *)
-  mutable synced : int;  (** its last known-durable local seq *)
-  mutable applied_global : int;  (** global ops whose apply completed *)
-  per_shard_applied : int array;  (** local ops begun, per sid *)
-}
-
-let eval_cell config script (profiles : shard_profile array) oracles
-    global_oracle (j, point, mode) =
-  let plan = { Fault.crash_point = point; mode; seed = config.seed } in
+let eval_cell ~shards config script ~extents ~oracles ~global j point mode =
+  let plan = { Fault.crash_point = point; mode; seed = config.FM.seed } in
   let armed = Fault.create_sim ~plan () in
   let sim_for sid = if sid = j then armed else Fault.create_sim () in
-  let state =
-    { attempted = 0; synced = 0; applied_global = 0;
-      per_shard_applied = Array.make config.shards 0 }
-  in
+  let b = { FM.attempted = 0; synced = 0 } in
+  let applied_global = ref 0 in
+  let per_shard_applied = Array.make shards 0 in
   let sdoc_ref = ref None in
   let crashed =
     match
-      let sdoc = build_sharded ~sim_for config in
+      let sdoc = build_sharded ~sim_for ~shards config in
       sdoc_ref := Some sdoc;
       Sharded_doc.set_local_entry_hook sdoc
         (Some
            (fun sid _e ->
-             state.per_shard_applied.(sid) <-
-               state.per_shard_applied.(sid) + 1;
-             if sid = j then state.attempted <- state.attempted + 1));
+             per_shard_applied.(sid) <- per_shard_applied.(sid) + 1;
+             if sid = j then b.attempted <- b.attempted + 1));
       let durable = Sharded_doc.shard_durable sdoc j in
       drive config script sdoc
         ~on_op:(fun n ->
-          state.applied_global <- n;
-          state.synced <-
+          applied_global := n;
+          b.synced <-
             Durable_doc.last_seq durable - Durable_doc.pending durable)
-        ~on_checkpoint:(fun () ->
-          state.synced <- Durable_doc.last_seq durable)
+        ~on_checkpoint:(fun () -> b.synced <- Durable_doc.last_seq durable)
     with
     | () -> false
     | exception Fault.Crash _ -> true
   in
-  let files = Fault.dump armed in
-  let rsim = Fault.create_sim ~files () in
-  let io = Fault.sim_io rsim in
-  let oracle = oracles.(j) in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  if not crashed then fail "workload did not crash at an in-range point";
-  let outcome =
-    match
-      Durable_doc.recover ~io ~group_commit:config.group_commit
-        ~dir:store_dir ()
-    with
-    | Error faults ->
-      let kinds = List.map Durable_doc.fault_kind faults in
-      (* Losing a whole shard store is legitimate only when the crash
-         predates the shard's very first completed checkpoint. *)
-      if
-        not
-          (state.attempted = 0 && point <= profiles.(j).init_points)
-      then
-        fail "shard %d unrecoverable after %d local ops (point %d): %s" j
-          state.attempted point
-          (String.concat ", " kinds);
-      Unrecoverable { fault_kinds = kinds }
-    | Ok (report, rt) ->
-      let kinds = List.map Durable_doc.fault_kind report.Durable_doc.faults in
-      let durable = report.Durable_doc.durable_seq in
-      if durable < state.synced || durable > state.attempted then
-        fail "shard %d durable seq %d outside [synced %d, attempted %d]" j
-          durable state.synced state.attempted;
-      if durable < 0 || durable > Array.length profiles.(j).locals then
-        fail "shard %d durable seq %d outside its local script" j durable
-      else begin
-        let ldoc = Durable_doc.ldoc rt in
-        if not (int_array_equal (observe_labels ldoc) oracle.labels.(durable))
-        then fail "shard %d labels differ from local oracle prefix %d" j durable;
-        if doc_crc ldoc <> oracle.crcs.(durable) then
-          fail "shard %d content CRC differs from local oracle prefix %d" j
-            durable;
-        let reg = Invariant.create () in
-        Crash_matrix.register_invariants reg ~io ~dir:store_dir
-          ~expected_labels:(fun () -> oracle.labels.(durable))
-          rt;
-        Invariant.register reg ~name:"shard.recovered-doc-consistent"
-          ~depth:Invariant.Deep (fun () -> Labeled_doc.check ldoc);
-        List.iter
-          (fun f ->
-            fail "shard %d invariant %s: %s" j f.Invariant.name
-              f.Invariant.detail)
-          (Invariant.run_all ~depth:Invariant.Deep reg)
-      end;
-      Recovered
-        { durable_seq = durable;
-          attempted = state.attempted;
-          synced = state.synced;
-          fault_kinds = kinds }
+  let outcome, failures =
+    FM.recover_crashed config ~what:(Printf.sprintf "shard %d" j)
+      ~dir:store_dir ~sim:armed ~crashed ~point
+      ~init_points:(snd extents.(j)).FM.init_points b oracles.(j)
   in
   (* Containment: the un-armed shards and the router twin must sit at
      exactly the prefixes that completed before the crash — recovered
      shard + live siblings + router re-compose the global oracle's
      document. *)
-  (match !sdoc_ref with
-   | None ->
-     if state.applied_global <> 0 then
-       fail "no sharded store, yet %d global ops applied" state.applied_global
-   | Some sdoc ->
-     for q = 0 to config.shards - 1 do
-       if q <> j then begin
-         let applied = state.per_shard_applied.(q) in
-         let got = observe_labels (Sharded_doc.shard_ldoc sdoc q) in
-         if not (int_array_equal got oracles.(q).labels.(applied)) then
-           fail "sibling shard %d not at its applied prefix %d" q applied
-       end
-     done;
-     let got = observe_labels (Sharded_doc.router sdoc) in
-     let want = global_oracle.Crash_matrix.labels.(state.applied_global) in
-     if not (int_array_equal got want) then
-       fail "router twin not at global prefix %d" state.applied_global);
-  { shard = j; point; mode; outcome; failures = List.rev !failures }
-
-(* {1 The sweep} *)
-
-let run ?pool ?progress ?only config =
-  if config.ops < 1 then invalid_arg "Shard_matrix.run: ops must be >= 1";
-  if config.shards < 1 then
-    invalid_arg "Shard_matrix.run: shards must be >= 1";
-  (match only with
-   | Some (shard, point, _) ->
-     if shard < 0 || shard >= config.shards then
-       invalid_arg "Shard_matrix.run: --only shard out of range";
-     if point < 1 then invalid_arg "Shard_matrix.run: --only point must be >= 1"
-   | None -> ());
-  let script = generate_script config in
-  let profiles = profile config script in
-  let oracles = shard_oracles config profiles in
-  let global_oracle = Crash_matrix.build_oracle (crash_config config) script in
-  let total =
-    3 * Array.fold_left (fun a (p : shard_profile) -> a + p.total_points) 0
-          profiles
+  let at_prefix ldoc (oracle : FM.oracle) k =
+    FM.labels_equal (FM.observe_labels ldoc) oracle.FM.labels.(k)
   in
-  let progress_mu = Mutex.create () in
-  let done_cells = ref 0 in
-  let note_progress () =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_mu;
-      incr done_cells;
-      let d = !done_cells in
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock progress_mu)
-        (fun () ->
-          f ~done_cells:d
-            ~total:(match only with Some _ -> 1 | None -> total))
-  in
-  let eval descr =
-    let cell =
-      eval_cell config script profiles oracles global_oracle descr
-    in
-    note_progress ();
-    cell
-  in
-  let descrs =
-    match only with
-    | Some (shard, point, mode) ->
-      if point > profiles.(shard).total_points then
-        invalid_arg
-          (Printf.sprintf
-             "Shard_matrix.run: --only point %d beyond shard %d's %d write \
-              points"
-             point shard profiles.(shard).total_points);
-      [| (shard, point, mode) |]
+  let contained =
+    match !sdoc_ref with
     | None ->
-      Array.of_list
-        (List.concat_map
-           (fun mode ->
-             List.concat
-               (List.init config.shards (fun j ->
-                    List.init profiles.(j).total_points (fun i ->
-                        (j, i + 1, mode)))))
-           Fault.all_modes)
+      if !applied_global <> 0 then
+        [ Printf.sprintf "no sharded store, yet %d global ops applied"
+            !applied_global ]
+      else []
+    | Some sdoc ->
+      List.filter_map
+        (fun q ->
+          let k = per_shard_applied.(q) in
+          if q = j || at_prefix (Sharded_doc.shard_ldoc sdoc q) oracles.(q) k
+          then None
+          else Some (Printf.sprintf "sibling shard %d not at its applied \
+                                     prefix %d" q k))
+        (List.init shards Fun.id)
+      @
+      if at_prefix (Sharded_doc.router sdoc) global !applied_global then []
+      else [ Printf.sprintf "router twin not at global prefix %d"
+               !applied_global ]
   in
-  let cells =
-    match pool with
-    | Some pool ->
-      Array.to_list (Ltree_exec.Pool.map ~chunk:1 pool eval descrs)
-    | None -> Array.to_list (Array.map eval descrs)
+  (outcome, failures @ contained)
+
+(* {1 The topology} *)
+
+let run ?pool ?progress ?only ~shards config =
+  if shards < 1 then invalid_arg "Shard_matrix.run: shards must be >= 1";
+  let script = FM.generate_script config in
+  let locals, extents = profile ~shards config script in
+  (* Per-shard oracles replay each local script over a pristine copy of
+     that shard's initial document; the global one covers the router. *)
+  let pristine = build_sharded ~shards config in
+  let oracles =
+    Array.mapi
+      (fun j local -> FM.build_oracle (Sharded_doc.shard_ldoc pristine j) local)
+      locals
   in
-  { config;
-    total_points = Array.map (fun (p : shard_profile) -> p.total_points) profiles;
-    init_points = Array.map (fun (p : shard_profile) -> p.init_points) profiles;
-    only;
-    cells;
-    failed_cells =
-      List.length
-        (List.filter
-           (fun c -> match c.failures with [] -> false | _ :: _ -> true)
-           cells) }
+  let global = FM.build_oracle (FM.base_ldoc config) script in
+  FM.sweep ?pool ?progress ?only ~name:"Shard_matrix.run" (grammar ~shards)
+    config (Array.to_list extents) (fun id ->
+      match id with
+      | FM.At (j, point, mode) ->
+        eval_cell ~shards config script ~extents ~oracles ~global j point mode
+      | FM.Probe _ -> invalid_arg "Shard_matrix.run: shards have no probes")

@@ -1,90 +1,36 @@
-(** The shard-level crash matrix: run the whole sharded stack
-    ({!Sharded_doc}), kill exactly {e one} shard's disk at every one of
-    its write points in every damage mode, recover that shard {e alone}
-    from its surviving files, and verify the whole document — the
-    recovered shard against its local oracle at the durable prefix,
-    every sibling shard at its full applied prefix, and the router twin
-    at the global prefix of completed operations.  Everything derives
-    from [config.seed]: the global script is byte-identical to
-    {!Ltree_recovery.Crash_matrix.generate_script}'s (global anchors
-    route through the sharded store unchanged); per-shard local scripts
-    and write-point counts are learned from one clean profile run. *)
+(** The K-shard topology of the {!Ltree_recovery.Fault_matrix} engine:
+    run the whole sharded stack ({!Sharded_doc}), kill exactly {e one}
+    shard's disk at every one of its write points in every damage mode,
+    recover that shard {e alone} from its surviving files, and verify
+    the whole document — the recovered shard against its local oracle
+    at a durable prefix within [[synced, attempted]], every sibling
+    shard at its full applied prefix, and the router twin at the global
+    prefix of completed operations.  The global script is the engine's
+    (global anchors route through the sharded store unchanged);
+    per-shard local scripts and write-point counts are learned from one
+    clean profile run.  Cells are named [S<shard>/P<point>/<mode>],
+    e.g. ["S1/P37/torn"]. *)
 
-type config = {
-  seed : int;
-  ops : int;  (** global script length *)
-  doc_nodes : int;
-  shards : int;
-  group_commit : int;
-  checkpoint_every : int;  (** global ops between all-shard rotations *)
-}
+(** [{seed = 42; ops = 120; doc_nodes = 100; group_commit = 4;
+    checkpoint_every = 24}] — checkpoints rotate every shard. *)
+val default_config : Ltree_recovery.Fault_matrix.config
 
-(** [{seed = 42; ops = 120; doc_nodes = 100; shards = 3;
-    group_commit = 4; checkpoint_every = 24}] *)
-val default_config : config
+(** [3] *)
+val default_shards : int
 
-(** {1 Pieces exposed for the harness and tests} *)
+(** The sites are the shard numbers [0 .. shards - 1]. *)
+val grammar : shards:int -> int Ltree_recovery.Fault_matrix.grammar
 
-(** The equivalent unsharded matrix config (same seed/ops/doc). *)
-val crash_config : config -> Ltree_recovery.Crash_matrix.config
+type outcome = Ltree_recovery.Fault_matrix.recovery
+type summary = (int, outcome) Ltree_recovery.Fault_matrix.summary
 
-val make_doc : config -> Ltree_xml.Dom.document
-
-(** The global script — {!Ltree_recovery.Crash_matrix.generate_script}
-    over {!crash_config}. *)
-val generate_script : config -> Ltree_doc.Journal.entry list
-
-(** {1 Results} *)
-
-type outcome =
-  | Recovered of {
-      durable_seq : int;
-      attempted : int;  (** local ops the shard started before the crash *)
-      synced : int;  (** last known-durable local seq before the crash *)
-      fault_kinds : string list;
-    }
-  | Unrecoverable of { fault_kinds : string list }
-
-type cell = {
-  shard : int;
-  point : int;  (** write point within the armed shard's own disk *)
-  mode : Ltree_recovery.Fault.mode;
-  outcome : outcome;
-  failures : string list;  (** empty iff the cell is green *)
-}
-
-(** [cell_name c] is the cell's stable coordinate,
-    [S<shard>/P<point>/<mode>] — e.g. [S1/P37/torn]. *)
-val cell_name : cell -> string
-
-(** [parse_cell s] inverts {!cell_name}: [Some (shard, point, mode)]
-    for a well-formed coordinate, [None] otherwise. *)
-val parse_cell : string -> (int * int * Ltree_recovery.Fault.mode) option
-
-type summary = {
-  config : config;
-  total_points : int array;  (** per-shard write points, clean run *)
-  init_points : int array;
-      (** per-shard points consumed by initialization alone *)
-  only : (int * int * Ltree_recovery.Fault.mode) option;
-  cells : cell list;
-  failed_cells : int;
-}
-
-(** Every cell green and the sweep complete (or the one [--only] cell
-    green). *)
-val ok : summary -> bool
-
-(** [run ?pool ?progress ?only config] sweeps shard x point x mode.
-    Cells are independent and fan out over [pool] when given; cell
-    order is deterministic.  [only] restricts the sweep to one
-    [(shard, point, mode)] cell — the profile pass still runs, so the
-    cell replays against the same numbering as the full matrix.  Raises
-    [Invalid_argument] for out-of-range [only] coordinates, [ops < 1]
-    or [shards < 1]. *)
+(** [run ?pool ?progress ?only ~shards config] sweeps shard x point x
+    mode through {!Ltree_recovery.Fault_matrix.sweep}.  Raises
+    [Invalid_argument] when [shards < 1]. *)
 val run :
   ?pool:Ltree_exec.Pool.t ->
   ?progress:(done_cells:int -> total:int -> unit) ->
-  ?only:(int * int * Ltree_recovery.Fault.mode) ->
-  config ->
+  ?only:int Ltree_recovery.Fault_matrix.id ->
+  shards:int ->
+  Ltree_recovery.Fault_matrix.config ->
   summary

@@ -48,5 +48,6 @@ let () =
        Test_exec.suite;
        Test_columnar.suite;
        Test_replication.suite;
-       Test_shard.suite ]
+       Test_shard.suite;
+       Test_fault_matrix.suite ]
     @ scheme_suites)

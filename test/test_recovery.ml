@@ -273,15 +273,16 @@ let replay_error_typed () =
 
 let quick_crash_matrix () =
   let config =
-    { Crash_matrix.seed = 7; ops = 25; doc_nodes = 40; group_commit = 3;
+    { Fault_matrix.seed = 7; ops = 25; doc_nodes = 40; group_commit = 3;
       checkpoint_every = 8 }
   in
   let s = Crash_matrix.run config in
-  Alcotest.(check bool) "matrix exhaustive and green" true
-    (Crash_matrix.ok s);
-  Alcotest.(check int) "every cell verified" 0 s.Crash_matrix.failed_cells;
-  Alcotest.(check bool) "matrix is not trivial" true
-    (s.Crash_matrix.total_points > 20)
+  let points = (snd (List.hd s.Fault_matrix.extents)).Fault_matrix.points in
+  Alcotest.(check bool) "matrix green" true (Fault_matrix.ok s);
+  Alcotest.(check int) "every cell verified" 0 s.Fault_matrix.failed_cells;
+  Alcotest.(check int) "matrix exhaustive" (3 * points)
+    (List.length s.Fault_matrix.cells);
+  Alcotest.(check bool) "matrix is not trivial" true (points > 20)
 
 (* {1 Fuzzing}
 

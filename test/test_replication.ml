@@ -419,7 +419,7 @@ let replica_reattach_after_crash () =
    verified against the oracle. *)
 let matrix_smoke () =
   let config =
-    { Repl_matrix.seed = 7;
+    { Fault_matrix.seed = 7;
       ops = 12;
       doc_nodes = 30;
       group_commit = 2;
@@ -427,41 +427,17 @@ let matrix_smoke () =
   in
   let s = Repl_matrix.run config in
   (match
-     List.filter (fun c -> c.Repl_matrix.failures <> []) s.Repl_matrix.cells
+     List.filter (fun c -> c.Fault_matrix.failures <> []) s.Fault_matrix.cells
    with
   | [] -> ()
   | c :: _ ->
-    Alcotest.failf "%d cells failed; first %s: %s" s.Repl_matrix.failed_cells
-      (Repl_matrix.cell_name c)
-      (String.concat "; " c.Repl_matrix.failures));
-  Alcotest.(check bool) "sweep complete" true (Repl_matrix.ok s);
+    Alcotest.failf "%d cells failed; first %s: %s" s.Fault_matrix.failed_cells
+      c.Fault_matrix.name
+      (String.concat "; " c.Fault_matrix.failures));
+  Alcotest.(check bool) "sweep green" true (Fault_matrix.ok s);
   Alcotest.(check bool) "swept all three sites" true
-    (s.Repl_matrix.primary_points > 0
-    && s.Repl_matrix.replica_points > 0
-    && s.Repl_matrix.channel_sends > 0)
-
-let matrix_cell_names () =
-  List.iter
-    (fun (s, want) ->
-      match (Repl_matrix.parse_cell s, want) with
-      | Some id, true ->
-        Alcotest.(check string)
-          "name round-trips" s
-          (Repl_matrix.cell_name
-             { Repl_matrix.id; outcome = Repl_matrix.Resynced; failures = [] })
-      | None, false -> ()
-      | Some _, false -> Alcotest.failf "parsed junk %S" s
-      | None, true -> Alcotest.failf "failed to parse %S" s)
-    [ ("primary:P12/torn", true);
-      ("replica:P5/clean", true);
-      ("channel:C9/flip", true);
-      ("probe:divergence", true);
-      ("primary:C12/torn", false);
-      ("channel:P9/flip", false);
-      ("primary:P0/torn", false);
-      ("primary:P12/bogus", false);
-      ("store:P12/torn", false);
-      ("P12/torn", false) ]
+    (List.for_all (fun (_, e) -> e.Fault_matrix.points > 0)
+       s.Fault_matrix.extents)
 
 (* {1 Causal tracing} *)
 
@@ -643,7 +619,6 @@ let suite =
       case "chain mismatch detected" `Quick chain_mismatch_detected;
       case "failover promotes survivor" `Quick failover_promotes;
       case "replica reattaches after crash" `Quick replica_reattach_after_crash;
-      case "matrix cell names round-trip" `Quick matrix_cell_names;
       case "replica matrix smoke" `Quick matrix_smoke;
       case "trace id survives channel damage" `Quick
         trace_id_survives_channel_damage;

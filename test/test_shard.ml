@@ -13,6 +13,7 @@ module Pool = Ltree_exec.Pool
 module Fault = Ltree_recovery.Fault
 module Sharded_doc = Ltree_shard.Sharded_doc
 module Shard_matrix = Ltree_shard.Shard_matrix
+module Fault_matrix = Ltree_recovery.Fault_matrix
 
 let case = Alcotest.test_case
 
@@ -170,14 +171,14 @@ let k1_byte_identical () =
 
 let k3_agreement_after_writes () =
   let config =
-    { Shard_matrix.default_config with Shard_matrix.ops = 60; doc_nodes = 80 }
+    { Shard_matrix.default_config with Fault_matrix.ops = 60; doc_nodes = 80 }
   in
-  let sd = Sharded_doc.create ~shards:3 (Shard_matrix.make_doc config) in
+  let sd = Sharded_doc.create ~shards:3 (Fault_matrix.base_document config) in
   List.iteri
     (fun i entry ->
       Sharded_doc.apply sd entry;
       if (i + 1) mod 20 = 0 then Sharded_doc.checkpoint sd)
-    (Shard_matrix.generate_script config);
+    (Fault_matrix.generate_script config);
   List.iter
     (fun size ->
       Pool.with_pool ~size (fun pool ->
@@ -307,48 +308,22 @@ let maybe_rebalance_triggers () =
 
 (* {1 Shard crash matrix} *)
 
+let small_config =
+  { Fault_matrix.seed = 42; ops = 12; doc_nodes = 40; group_commit = 4;
+    checkpoint_every = 6 }
+
 let matrix_smoke () =
-  let config =
-    { Shard_matrix.seed = 42; ops = 12; doc_nodes = 40; shards = 2;
-      group_commit = 4; checkpoint_every = 6 }
-  in
-  let s = Shard_matrix.run config in
-  Alcotest.(check bool) "matrix clean" true (Shard_matrix.ok s);
-  Alcotest.(check int) "no failed cells" 0 s.Shard_matrix.failed_cells;
+  let s = Shard_matrix.run ~shards:2 small_config in
+  Alcotest.(check bool) "matrix clean" true (Fault_matrix.ok s);
+  Alcotest.(check int) "no failed cells" 0 s.Fault_matrix.failed_cells;
   Alcotest.(check int) "two shards swept" 2
-    (Array.length s.Shard_matrix.total_points)
+    (List.length s.Fault_matrix.extents)
 
 let matrix_only_cell () =
-  let config =
-    { Shard_matrix.seed = 42; ops = 12; doc_nodes = 40; shards = 2;
-      group_commit = 4; checkpoint_every = 6 }
-  in
-  let only = (1, 7, Fault.Torn) in
-  let s = Shard_matrix.run ~only config in
-  Alcotest.(check int) "one cell" 1 (List.length s.Shard_matrix.cells);
-  Alcotest.(check bool) "cell green" true (Shard_matrix.ok s)
-
-let parse_cell_roundtrip () =
-  List.iter
-    (fun (shard, point, mode) ->
-      let c =
-        { Shard_matrix.shard; point; mode;
-          outcome = Shard_matrix.Unrecoverable { fault_kinds = [] };
-          failures = [] }
-      in
-      Alcotest.(check bool)
-        (Shard_matrix.cell_name c)
-        true
-        (match Shard_matrix.parse_cell (Shard_matrix.cell_name c) with
-         | Some (s, p, m) ->
-           s = shard && p = point
-           && String.equal (Fault.mode_name m) (Fault.mode_name mode)
-         | None -> false))
-    [ (0, 1, Fault.Clean); (1, 37, Fault.Torn); (2, 9, Fault.Flip) ];
-  Alcotest.(check bool) "garbage rejected" true
-    (List.for_all
-       (fun s -> Option.is_none (Shard_matrix.parse_cell s))
-       [ ""; "P3/torn"; "S/P3/torn"; "Sx/P3/torn"; "S1/torn"; "S1/P0x/torn" ])
+  let only = Fault_matrix.At (1, 7, Fault.Torn) in
+  let s = Shard_matrix.run ~only ~shards:2 small_config in
+  Alcotest.(check int) "one cell" 1 (List.length s.Fault_matrix.cells);
+  Alcotest.(check bool) "cell green" true (Fault_matrix.ok s)
 
 let suite =
   ( "shard",
@@ -367,5 +342,4 @@ let suite =
       case "maybe_rebalance splits only past threshold" `Quick
         maybe_rebalance_triggers;
       case "shard crash matrix sweeps clean" `Quick matrix_smoke;
-      case "single-cell rerun matches the sweep" `Quick matrix_only_cell;
-      case "cell names parse back" `Quick parse_cell_roundtrip ] )
+      case "single-cell rerun matches the sweep" `Quick matrix_only_cell ] )

@@ -93,18 +93,11 @@ let default_config =
            buffers (slot index = chunk index, pairwise disjoint), \
            merged after the pool barrier; audited in DESIGN.md \
            section 11" );
-        ( "Ltree_recovery.Crash_matrix.run.*",
-          "matrix cells share the replay cache and progress counter \
-           under cache_mu/progress_mu; audited in DESIGN.md section 9" );
-        ( "Ltree_shard.Shard_matrix.run.*",
-          "shard-matrix cells are fully independent (each arms its own \
-           sim and rebuilds the whole sharded store); the only shared \
-           state is the progress counter under progress_mu; audited in \
-           DESIGN.md section 13" );
-        ( "Ltree_replication.Repl_matrix.run.*",
-          "replica-matrix cells are fully independent (own sims, \
-           channels and stores); the only shared state is the progress \
-           counter under progress_mu; audited in DESIGN.md section 12" );
+        ( "Ltree_recovery.Fault_matrix.sweep.*",
+          "fault-matrix cells are fully independent (each builds its own \
+           sims, documents and stores); the only shared state is the \
+           sweep's progress counter under progress_mu; audited in \
+           DESIGN.md section 9" );
         ( "Ltree_obs.Span.*",
           "the process-wide trace ring is the R7-allowlisted global; \
            every access runs under ring_mu; audited in DESIGN.md \
@@ -252,7 +245,7 @@ let typecheck_impl ~unit_name ~path source =
 
    Node keys are dot-paths rooted at the unit name:
    "Ltree_exec.Par_query.chunked", nested functions append their path
-   ("Ltree_recovery.Crash_matrix.run.eval_cell").  Each unit carries a
+   ("Ltree_recovery.Fault_matrix.sweep.eval_cell").  Each unit carries a
    stamp table mapping local idents (functions, local modules, module
    aliases) to keys so that same-unit references resolve to the same
    key as cross-unit ones. *)
