@@ -439,6 +439,30 @@ let matrix_smoke () =
     (List.for_all (fun (_, e) -> e.Fault_matrix.points > 0)
        s.Fault_matrix.extents)
 
+let matrix_cell_names () =
+  List.iter
+    (fun (s, want) ->
+      match (Fault_matrix.parse_cell Repl_matrix.grammar s, want) with
+      | Some id, true ->
+        Alcotest.(check string)
+          "name round-trips" s
+          (Fault_matrix.cell_name Repl_matrix.grammar id)
+      | None, false -> ()
+      | Some _, false -> Alcotest.failf "parsed junk %S" s
+      | None, true -> Alcotest.failf "failed to parse %S" s)
+    [ ("primary:P12/torn", true);
+      ("replica:P5/clean", true);
+      ("channel:C9/flip", true);
+      ("probe:divergence", true);
+      ("primary:C12/torn", false);
+      ("channel:P9/flip", false);
+      ("primary:P0/torn", false);
+      ("primary:P12/bogus", false);
+      ("primary:P12torn", false);
+      ("store:P12/torn", false);
+      ("P12/torn", false);
+      ("probe:other", false) ]
+
 (* {1 Causal tracing} *)
 
 (* Satellite: the trace id must round-trip through Frame under every
@@ -619,6 +643,7 @@ let suite =
       case "chain mismatch detected" `Quick chain_mismatch_detected;
       case "failover promotes survivor" `Quick failover_promotes;
       case "replica reattaches after crash" `Quick replica_reattach_after_crash;
+      case "matrix cell names round-trip" `Quick matrix_cell_names;
       case "replica matrix smoke" `Quick matrix_smoke;
       case "trace id survives channel damage" `Quick
         trace_id_survives_channel_damage;

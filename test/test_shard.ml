@@ -325,6 +325,27 @@ let matrix_only_cell () =
   Alcotest.(check int) "one cell" 1 (List.length s.Fault_matrix.cells);
   Alcotest.(check bool) "cell green" true (Fault_matrix.ok s)
 
+let parse_cell_roundtrip () =
+  let g = Shard_matrix.grammar ~shards:3 in
+  List.iter
+    (fun s ->
+      match Fault_matrix.parse_cell g s with
+      | Some id ->
+        Alcotest.(check string) "name round-trips" s
+          (Fault_matrix.cell_name g id)
+      | None -> Alcotest.failf "failed to parse %S" s)
+    [ "S0/P1/clean"; "S1/P37/torn"; "S2/P9/flip" ];
+  List.iter
+    (fun s ->
+      match Fault_matrix.parse_cell g s with
+      | Some _ -> Alcotest.failf "parsed garbage %S" s
+      | None -> ())
+    [ ""; "P3/torn"; "S/P3/torn"; "Sx/P3/torn"; "S1/torn"; "S1/P0x/torn";
+      "S1/P0/torn"; "S3/P1/torn"; "S1/P3/bogus"; "S1/P3torn"; "S1:P3/torn" ];
+  Alcotest.(check bool) "shard sites follow the shard count" true
+    (Option.is_some
+       (Fault_matrix.parse_cell (Shard_matrix.grammar ~shards:4) "S3/P1/torn"))
+
 let suite =
   ( "shard",
     [ case "routing hits exact shard boundaries" `Quick routing_boundaries;
@@ -342,4 +363,5 @@ let suite =
       case "maybe_rebalance splits only past threshold" `Quick
         maybe_rebalance_triggers;
       case "shard crash matrix sweeps clean" `Quick matrix_smoke;
-      case "single-cell rerun matches the sweep" `Quick matrix_only_cell ] )
+      case "single-cell rerun matches the sweep" `Quick matrix_only_cell;
+      case "cell names parse back" `Quick parse_cell_roundtrip ] )
