@@ -37,9 +37,11 @@ selfcheck:
 	dune exec bin/ltree_stress.exe -- 2000 1 --selfcheck 50
 	dune exec bin/ltree_cli.exe -- check --ops 500 --seed 1
 
+# --domains 2 arms the pool-only invariants (exec.parallel-plans-agree,
+# shard.plans-agree), so all 16 run.
 selfcheck-quick:
 	dune exec bin/ltree_stress.exe -- 300 1 --selfcheck 25
-	dune exec bin/ltree_cli.exe -- check --ops 100 --seed 1
+	dune exec bin/ltree_cli.exe -- check --ops 100 --seed 1 --domains 2
 
 # Crash the durable store at every write point in every corruption mode
 # (clean / torn / bit-flip), recover, and verify the result against a

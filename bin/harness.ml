@@ -196,11 +196,58 @@ let register_invariants t =
       Label_index.check t.store.Shredder.label_index ~fetch:(fun rid ->
           let row = Rel_table.get t.store.Shredder.label_table rid in
           (row.Shredder.l_start, row.Shredder.l_end, row.Shredder.l_dead)));
-  (* Parallel plans over a frozen snapshot must agree with the serial
-     plans on every tag pair, at whatever pool size the harness was
-     given — the determinism contract of lib/exec.  Also proves the
-     staleness guard: the snapshot is taken after the flush, so it must
-     still be fresh when queried. *)
+  (* The parallel and sharded plans share one join kernel with the
+     serial plans, so agreeing with those would only prove the kernel
+     agrees with itself.  Both invariants hold every plan to Dom_eval
+     instead — plain DOM navigation that knows nothing of labels — over
+     the document the plan answers for. *)
+  let test tag = if String.equal tag "#text" then "text()" else tag in
+  let dom_eval doc path =
+    Ltree_xpath.Dom_eval.eval doc (Ltree_xpath.Xpath_parser.parse path)
+  in
+  let sorted_ids nodes = List.sort Int.compare (List.map Dom.id nodes) in
+  let dom_path doc tags =
+    sorted_ids (dom_eval doc ("//" ^ String.concat "//" (List.map test tags)))
+  in
+  (* Every tag pair [(a, b)] with Dom_eval's answers to [//a//b] and
+     [//a/b] — from one [*] and one [text()] step per [a] and axis,
+     bucketed by tag. *)
+  let dom_pairs doc tags =
+    let under anc sep =
+      let by_tag = Hashtbl.create 16 in
+      List.iter
+        (fun step ->
+          List.iter
+            (fun n ->
+              Option.iter
+                (fun tag ->
+                  Hashtbl.replace by_tag tag
+                    (n :: Option.value ~default:[] (Hashtbl.find_opt by_tag tag)))
+                (Shredder.tag_of n))
+            (dom_eval doc ("//" ^ test anc ^ sep ^ step)))
+        [ "*"; "text()" ];
+      fun tag -> sorted_ids (Option.value ~default:[] (Hashtbl.find_opt by_tag tag))
+    in
+    List.concat_map
+      (fun a ->
+        let desc = under a "//" and child = under a "/" in
+        List.map (fun b -> (a, b, desc b, child b)) tags)
+      tags
+  in
+  let store_tags () =
+    Hashtbl.fold (fun tag _ acc -> tag :: acc) t.store.Shredder.label_by_tag []
+    |> List.sort String.compare
+  in
+  let agree ~name ~kind ~what got want =
+    if not (List.equal Int.equal got want) then
+      Invariant.fail ~name "%s: %s plan found %d ids, Dom_eval %d (or a \
+                            different order)"
+        what kind (List.length got) (List.length want)
+  in
+  (* Parallel plans over a frozen snapshot, at whatever pool size the
+     harness was given — the determinism contract of lib/exec.  Also
+     proves the staleness guard: the snapshot is taken after the flush,
+     so it must still be fresh when queried. *)
   (match t.pool with
   | None -> ()
   | Some pool ->
@@ -208,61 +255,45 @@ let register_invariants t =
       ~depth:Invariant.Deep (fun () ->
         ignore (Label_sync.flush t.sync);
         let snap = Read_snapshot.of_store t.pager t.store t.ldoc in
-        let tags =
-          Hashtbl.fold
-            (fun tag _ acc -> tag :: acc)
-            t.store.Shredder.label_by_tag []
-          |> List.sort String.compare
-        in
-        let check name got want =
-          if not (List.equal Int.equal got want) then
-            Invariant.fail ~name:"exec.parallel-plans-agree"
-              "%s: parallel plan found %d ids, serial %d (or a different \
-               order)"
-              name (List.length got) (List.length want)
-        in
+        let doc = Labeled_doc.document t.ldoc in
+        let tags = store_tags () in
+        let check = agree ~name:"exec.parallel-plans-agree" ~kind:"parallel" in
+        (* The serial plans over the live, repaired index, held to the
+           same answers. *)
+        let serial = agree ~name:"exec.parallel-plans-agree" ~kind:"serial" in
+        let pairs = dom_pairs doc tags in
         List.iter
-          (fun anc ->
-            List.iter
-              (fun desc ->
-                check
-                  (Printf.sprintf "%s//%s" anc desc)
-                  (Par_query.descendants pool snap ~anc ~desc)
-                  (Query.label_descendants t.pager t.store ~anc ~desc);
-                check
-                  (Printf.sprintf "%s/%s" anc desc)
-                  (Par_query.children pool snap ~parent:anc ~child:desc)
-                  (Query.label_children t.pager t.store ~parent:anc
-                     ~child:desc);
-                check
-                  (Printf.sprintf "inl:%s//%s" anc desc)
-                  (Par_query.descendants_inl pool snap ~anc ~desc)
-                  (Query.label_descendants_inl t.pager t.store ~anc ~desc))
-              tags)
-          tags;
+          (fun (anc, d, desc, child) ->
+            check ~what:(Printf.sprintf "%s//%s" anc d)
+              (Par_query.descendants pool snap ~anc ~desc:d) desc;
+            check ~what:(Printf.sprintf "%s/%s" anc d)
+              (Par_query.children pool snap ~parent:anc ~child:d) child;
+            check ~what:(Printf.sprintf "inl:%s//%s" anc d)
+              (Par_query.descendants_inl pool snap ~anc ~desc:d) desc;
+            serial ~what:(Printf.sprintf "%s//%s" anc d)
+              (Query.label_descendants t.pager t.store ~anc ~desc:d) desc;
+            serial ~what:(Printf.sprintf "%s/%s" anc d)
+              (Query.label_children t.pager t.store ~parent:anc ~child:d)
+              child)
+          pairs;
         (match tags with
         | a :: b :: c :: _ ->
-          check
-            (Printf.sprintf "%s//%s//%s" a b c)
-            (Par_query.path pool snap [ a; b; c ])
-            (Query.label_path t.pager t.store [ a; b; c ])
+          let want = dom_path doc [ a; b; c ] in
+          let what = Printf.sprintf "%s//%s//%s" a b c in
+          check ~what (Par_query.path pool snap [ a; b; c ]) want;
+          serial ~what (Query.label_path t.pager t.store [ a; b; c ]) want
         | _ -> ());
-        let batch =
-          Array.of_list
-            (List.concat_map (fun a -> List.map (fun d -> (a, d)) tags) tags)
+        let got =
+          Par_query.descendants_batch pool snap
+            (Array.of_list (List.map (fun (a, d, _, _) -> (a, d)) pairs))
         in
-        let got = Par_query.descendants_batch pool snap batch in
-        Array.iteri
-          (fun i (anc, desc) ->
-            check
-              (Printf.sprintf "batch:%s//%s" anc desc)
-              got.(i)
-              (Query.label_descendants t.pager t.store ~anc ~desc))
-          batch));
-  (* Sharded fan-out plans must stay byte-identical to the same plans
-     over the router twin's single unsharded store — at the harness's
-     pool size, across rebalances (the checkpoint op may split a
-     shard), and under label-window restriction (windows are chosen to
+        List.iteri
+          (fun i (anc, d, desc, _) ->
+            check ~what:(Printf.sprintf "batch:%s//%s" anc d) got.(i) desc)
+          pairs));
+  (* Sharded fan-out plans over the router twin's document — at the
+     harness's pool size, across rebalances (the checkpoint op may split
+     a shard), and under label-window restriction (windows are chosen to
      straddle shard boundaries). *)
   (match t.pool with
   | None -> ()
@@ -270,23 +301,25 @@ let register_invariants t =
     Invariant.register reg ~name:"shard.plans-agree" ~depth:Invariant.Deep
       (fun () ->
         let sd = t.sharded in
-        let tags =
-          Hashtbl.fold
-            (fun tag _ acc -> tag :: acc)
-            t.store.Shredder.label_by_tag []
-          |> List.sort String.compare
-        in
-        let check name got want =
-          if not (List.equal Int.equal got want) then
-            Invariant.fail ~name:"shard.plans-agree"
-              "%s: sharded plan found %d ids, unsharded %d (or a \
-               different order)"
-              name (List.length got) (List.length want)
-        in
+        let router = Sharded_doc.router sd in
+        let doc = Labeled_doc.document router in
+        let tags = store_tags () in
+        let check = agree ~name:"shard.plans-agree" ~kind:"sharded" in
+        let pairs = dom_pairs doc tags in
+        List.iter
+          (fun (anc, d, desc, child) ->
+            check ~what:(Printf.sprintf "shard:%s//%s" anc d)
+              (Sharded_doc.descendants sd pool ~anc ~desc:d) desc;
+            check ~what:(Printf.sprintf "shard:%s/%s" anc d)
+              (Sharded_doc.children sd pool ~parent:anc ~child:d) child;
+            check ~what:(Printf.sprintf "shard-inl:%s//%s" anc d)
+              (Sharded_doc.descendants_inl sd pool ~anc ~desc:d) desc)
+          pairs;
+        (* Windowed plans on a few tag pairs: the windows straddle
+           shard boundaries, so routing must both prune shards and
+           keep boundary-crossing answers exact. *)
         let windows =
-          match
-            List.map snd (Labeled_doc.labeled_events (Sharded_doc.router sd))
-          with
+          match List.map snd (Labeled_doc.labeled_events router) with
           | [] -> [ None ]
           | labels ->
             let lo = List.hd labels
@@ -294,64 +327,43 @@ let register_invariants t =
             and mid = List.nth labels (List.length labels / 2) in
             [ None; Some (lo, mid); Some (mid + 1, hi) ]
         in
-        List.iter
-          (fun anc ->
-            List.iter
-              (fun desc ->
-                check
-                  (Printf.sprintf "shard:%s//%s" anc desc)
-                  (Sharded_doc.descendants sd pool ~anc ~desc)
-                  (Sharded_doc.unsharded_descendants sd pool ~anc ~desc);
-                check
-                  (Printf.sprintf "shard:%s/%s" anc desc)
-                  (Sharded_doc.children sd pool ~parent:anc ~child:desc)
-                  (Sharded_doc.unsharded_children sd pool ~parent:anc
-                     ~child:desc);
-                check
-                  (Printf.sprintf "shard-inl:%s//%s" anc desc)
-                  (Sharded_doc.descendants_inl sd pool ~anc ~desc)
-                  (Sharded_doc.unsharded_descendants_inl sd pool ~anc
-                     ~desc))
-              tags)
-          tags;
-        (* Windowed plans on a few tag pairs: the windows straddle
-           shard boundaries, so routing must both prune shards and
-           keep boundary-crossing answers exact. *)
+        let inside (lo, hi) id =
+          match Labeled_doc.node_by_id router id with
+          | None -> false
+          | Some n ->
+            let l = Labeled_doc.label router n in
+            lo <= l.Labeled_doc.start_pos && l.Labeled_doc.start_pos <= hi
+        in
         (match tags with
         | a :: b :: _ ->
+          let want = dom_path doc [ a; b ] in
           List.iter
             (fun within ->
-              let wname =
+              let wname, want =
                 match within with
-                | None -> "full"
-                | Some (lo, hi) -> Printf.sprintf "[%d,%d]" lo hi
+                | None -> ("full", want)
+                | Some w ->
+                  (Printf.sprintf "[%d,%d]" (fst w) (snd w),
+                   List.filter (inside w) want)
               in
-              check
-                (Printf.sprintf "shard:%s//%s within %s" a b wname)
-                (Sharded_doc.descendants ?within sd pool ~anc:a ~desc:b)
-                (Sharded_doc.unsharded_descendants ?within sd pool ~anc:a
-                   ~desc:b))
+              check ~what:(Printf.sprintf "shard:%s//%s within %s" a b wname)
+                (Sharded_doc.descendants ?within sd pool ~anc:a ~desc:b) want)
             windows
         | _ -> ());
         (match tags with
         | a :: b :: c :: _ ->
-          check
-            (Printf.sprintf "shard:%s//%s//%s" a b c)
+          check ~what:(Printf.sprintf "shard:%s//%s//%s" a b c)
             (Sharded_doc.path sd pool [ a; b; c ])
-            (Sharded_doc.unsharded_path sd pool [ a; b; c ])
+            (dom_path doc [ a; b; c ])
         | _ -> ());
-        let batch =
-          Array.of_list
-            (List.concat_map (fun a -> List.map (fun d -> (a, d)) tags) tags)
+        let got =
+          Sharded_doc.descendants_batch sd pool
+            (Array.of_list (List.map (fun (a, d, _, _) -> (a, d)) pairs))
         in
-        let got = Sharded_doc.descendants_batch sd pool batch in
-        let want = Sharded_doc.unsharded_descendants_batch sd pool batch in
-        Array.iteri
-          (fun i (anc, desc) ->
-            check
-              (Printf.sprintf "shard-batch:%s//%s" anc desc)
-              got.(i) want.(i))
-          batch));
+        List.iteri
+          (fun i (anc, d, desc, _) ->
+            check ~what:(Printf.sprintf "shard-batch:%s//%s" anc d) got.(i) desc)
+          pairs));
   Invariant.register reg ~name:"recovery.roundtrip" ~depth:Invariant.Deep
     (fun () ->
       let recovered = Snapshot.load t.snapshot in

@@ -688,6 +688,14 @@ let parse_cell_opt g ~flag ~example = function
       Printf.eprintf "cannot parse %s %S (expected e.g. %s)\n" flag s example;
       exit 2)
 
+(* An [--only] cell past the profiled matrix is a usage error, like an
+   unparsable one; the range is only known once the profile pass ran. *)
+let or_usage_error f =
+  try f ()
+  with FM.Cell_out_of_range msg ->
+    prerr_endline msg;
+    exit 2
+
 let print_matrix_header title ?(extra = "") (c : FM.config) domains =
   Printf.printf
     "%s: %s%d ops, doc ~%d nodes, group commit %d, checkpoint every %d, \
@@ -794,7 +802,7 @@ let crash_matrix_cmd =
           ~example:"primary:P12/torn" inject_cell
       in
       print_matrix_header "replica crash matrix" config domains;
-      let s = R.run ?pool ?only ?inject ~progress config in
+      let s = or_usage_error (fun () -> R.run ?pool ?only ?inject ~progress config) in
       Printf.printf "%s\n" (R.describe s);
       if not (FM.ok s) then begin
         print_failures ~command:"crash-matrix --replica" s;
@@ -836,7 +844,7 @@ let crash_matrix_cmd =
         parse_cell_opt M.grammar ~flag:"--only" ~example:"P37/torn" only
       in
       print_matrix_header "crash matrix" config domains;
-      let s = M.run ?pool ?only ~progress config in
+      let s = or_usage_error (fun () -> M.run ?pool ?only ~progress config) in
       let (), e = List.hd s.FM.extents in
       Printf.printf
         "swept %d write points x %d modes = %d cells (%d init-phase \
@@ -892,7 +900,10 @@ let shard_matrix_cmd =
     print_matrix_header "shard crash matrix"
       ~extra:(Printf.sprintf "%d shards, " shards)
       config domains;
-    let s = SM.run ?pool ?only ~progress:(matrix_progress ()) ~shards config in
+    let s =
+      or_usage_error (fun () ->
+          SM.run ?pool ?only ~progress:(matrix_progress ()) ~shards config)
+    in
     List.iter
       (fun (j, e) ->
         Printf.printf "  shard %d: %d write points (%d init-phase)\n" j
@@ -1299,7 +1310,7 @@ let bundle_cmd =
           in
           Printf.printf "replaying cell %s (seed %d, ops %d)\n" cell_s
             config.seed config.ops;
-          let s = R.run ~only:cell config in
+          let s = or_usage_error (fun () -> R.run ~only:cell config) in
           Printf.printf "%s\n" (R.describe s);
           if not (FM.ok s) then begin
             print_failures ~command:"crash-matrix --replica" s;

@@ -1,13 +1,7 @@
 (* Monomorphic comparison prelude (lint rule R2). *)
 let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
 let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
 let max : int -> int -> int = Stdlib.max
-
-let _ = ( > )
-let _ = ( <= )
 
 module Column = Ltree_core.Column
 module Counters = Ltree_metrics.Counters
@@ -15,21 +9,21 @@ module Span = Ltree_obs.Span
 module Label_index = Ltree_relstore.Label_index
 module Query = Ltree_relstore.Query
 
-(* Parallel structural-join plans over a frozen {!Read_snapshot}.
+(* Structural-join plans over a frozen {!Read_snapshot}.
 
-   Sharding model: every plan cuts the {e output-driving} side of the
-   join (the descendant column; the ancestor column for the INL plan)
-   into fixed-size chunks and fans the chunks across the pool.  A
-   descendant's matches depend only on the shared ancestor input, so a
-   chunk can be joined in isolation against the full ancestor entry;
-   per-chunk emit buffers are then concatenated in chunk order, which
-   reproduces the serial emission order exactly.  Chunk inputs are
-   zero-copy {!Column.sub} views of the frozen slice — sharding copies
-   nothing.  Each chunk charges comparisons to its own scratch
-   [Counters] (no shared mutable state in workers); the caller
-   aggregates them after the barrier.  All plans finish with the same
-   [sort_uniq] as the serial plans, so results are element-for-element
-   identical for every pool size. *)
+   Every plan is the one kernel ({!Query.semi_join}; {!Query.inl} for
+   the index-nested-loop plan) run over windows of its output-driving
+   input — the descendant column (the ancestor column for INL): fixed
+   pool chunks for the parallel plans, the whole range for
+   {!whole_descendants}.
+   A window's matches depend only on the full other-side entry, so
+   windows run in isolation on zero-copy {!Column.sub} views of the
+   frozen slice, each charging its own scratch [Counters] (no shared
+   mutable state in workers); the caller aggregates after the barrier.
+   Semi-join windows write into disjoint regions of one plan-wide
+   output, compacted in window order into exactly the whole-range
+   output; every plan then finishes with the same sort+dedup, so
+   results are element-for-element identical for every pool size. *)
 
 let join_comparisons =
   Ltree_obs.Registry.histogram ~name:"query_join_comparisons"
@@ -37,231 +31,195 @@ let join_comparisons =
     ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1. ~count:24)
     ()
 
-(* Chunk length for an input of [len] rows: roughly eight chunks per
-   participant so the tail rebalances, but never so small that the
-   claim cursor becomes the bottleneck. *)
-let chunk_for pool len =
-  max 64 ((len + (8 * Pool.size pool) - 1) / (8 * Pool.size pool))
-
-(* Shared placeholder for the [rids] slot of join-input views that
-   never read it (the join walks starts/ends only; emits index the
-   slice's own id column). *)
-let empty_col = Column.create ~capacity:1 ()
-
-(* Entry view of [starts]/[ends] positions [lo, hi) of a slice:
-   zero-copy column views sharing the frozen buffers. *)
-let sub_entry (s : Read_snapshot.slice) lo hi =
-  { Label_index.starts = Column.sub s.s_starts lo (hi - lo);
-    ends = Column.sub s.s_ends lo (hi - lo);
-    rids = empty_col;
-    len = hi - lo;
-    stamp = s.s_stamp }
-
-(* Run [body ci lo hi local_counters] over aligned chunks of [0, len),
-   then return total comparisons charged.  [ci] is the chunk index:
-   distinct per invocation because the pool claims aligned ranges. *)
-let chunked pool len ~chunk body =
-  let nchunks = (len + chunk - 1) / chunk in
-  let comps = Array.make (max 1 nchunks) 0 in
-  Pool.parallel_for ~chunk pool ~lo:0 ~hi:len (fun lo hi ->
-      let local = Counters.create () in
-      body (lo / chunk) lo hi local;
-      comps.(lo / chunk) <- Counters.comparisons local);
-  Array.fold_left ( + ) 0 comps
-
 let note ?counters comparisons =
   (match counters with
   | Some c -> Counters.add_comparison c comparisons
   | None -> ());
   Ltree_obs.Histogram.observe_int join_comparisons comparisons
 
-let descendants ?counters pool snap ~anc ~desc =
-  Read_snapshot.ensure_fresh snap;
-  Span.with_ ~name:"par_query.descendants"
-    ~attrs:[ ("anc", anc); ("desc", desc) ] (fun () ->
-      let a = Read_snapshot.entry_of_slice (Read_snapshot.slice snap anc) in
-      let d = Read_snapshot.slice snap desc in
-      if d.s_len = 0 || a.Label_index.len = 0 then []
-      else begin
-        let chunk = chunk_for pool d.s_len in
-        let buffers = Array.make ((d.s_len + chunk - 1) / chunk) [] in
-        let comparisons =
-          chunked pool d.s_len ~chunk (fun ci lo hi local ->
-              let out = ref [] in
-              let last = ref (-1) in
-              Query.array_join local a (sub_entry d lo hi)
-                ~emit:(fun _ dpos ->
-                  if dpos <> !last then begin
-                    last := dpos;
-                    out := Column.get d.s_ids (lo + dpos) :: !out
-                  end);
-              buffers.(ci) <- !out)
+(* Window length for an input of [len] rows: the whole range without a
+   pool; with one, roughly eight chunks per participant so the tail
+   rebalances, but never so small that the claim cursor becomes the
+   bottleneck. *)
+let window_for pool len =
+  match pool with
+  | None -> max 1 len
+  | Some pool ->
+    max 64 ((len + (8 * Pool.size pool) - 1) / (8 * Pool.size pool))
+
+(* Run [body wi lo hi local_counters] over the aligned windows of
+   [0, len) and return the comparisons charged.  [wi] is the window
+   index: distinct per call because the pool claims aligned ranges. *)
+let run_windows pool ~window len body =
+  let comps = Array.make (max 1 ((len + window - 1) / window)) 0 in
+  let run lo hi =
+    let local = Counters.create () in
+    body (lo / window) lo hi local;
+    comps.(lo / window) <- Counters.comparisons local
+  in
+  (if len > 0 then
+     match pool with
+     | None -> run 0 len
+     | Some pool -> Pool.parallel_for ~chunk:window pool ~lo:0 ~hi:len run);
+  Array.fold_left ( + ) 0 comps
+
+(* The kernel over the windows of [d]: a window's matches are at most
+   its length, so each writes into its own region of one plan-wide
+   output (and of the ancestor column, when [with_anc]); the regions
+   are then compacted, in window order, into the whole-range output. *)
+let semi_join pool ~with_anc (a : Label_index.entry) (d : Label_index.entry) =
+  let n = d.Label_index.len in
+  let window = window_for pool n in
+  let region () =
+    let c = Column.create ~capacity:n () in
+    Column.set_len c n;
+    c
+  in
+  let out = region () in
+  let anc = if with_anc then region () else Column.create ~capacity:1 () in
+  let plan_ws = Label_index.new_workspace ~out ~anc () in
+  let found = Array.make ((n + window - 1) / window) 0 in
+  let comparisons =
+    run_windows pool ~window n (fun wi lo hi local ->
+        let ws =
+          if hi - lo = n then plan_ws
+          else
+            Label_index.new_workspace
+              ~out:(Column.sub out lo (hi - lo))
+              ~anc:(if with_anc then Column.sub anc lo (hi - lo) else anc)
+              ()
         in
-        note ?counters comparisons;
-        List.sort_uniq Int.compare (List.concat (Array.to_list buffers))
-      end)
+        Query.semi_join local ~with_anc a d ~lo ~hi ws;
+        found.(wi) <- Column.length ws.Label_index.w_out)
+  in
+  let k = ref 0 in
+  Array.iteri
+    (fun wi m ->
+      for i = wi * window to (wi * window) + m - 1 do
+        Column.set out !k (Column.get out i);
+        if with_anc then Column.set anc !k (Column.get anc i);
+        incr k
+      done)
+    found;
+  Column.set_len out !k;
+  if with_anc then Column.set_len anc !k;
+  (plan_ws, comparisons)
+
+(* The INL body over the windows of [a]; a window may emit more than
+   its length, so each fills its own column, concatenated in window
+   order. *)
+let inl pool (a : Label_index.entry) (d : Label_index.entry) =
+  let n = a.Label_index.len in
+  let window = window_for pool n in
+  let outs = Array.make ((n + window - 1) / window) None in
+  let comparisons =
+    run_windows pool ~window n (fun wi lo hi local ->
+        let out = Column.create ~capacity:(hi - lo) () in
+        Query.inl local a d ~lo ~hi out;
+        outs.(wi) <- Some out)
+  in
+  let out = Column.create () in
+  Array.iter
+    (Option.iter (fun o ->
+         for i = 0 to Column.length o - 1 do
+           Column.push out (Column.get o i)
+         done))
+    outs;
+  (Label_index.new_workspace ~out (), comparisons)
+
+(* Snapshot entries carry Dom ids in [rids]: the id gather needs no row
+   fetch. *)
+let ids (d : Label_index.entry) (ws : Label_index.workspace) =
+  Query.gather_rids d ws.Label_index.w_out;
+  Query.sorted_ids ws
+
+let entry snap tag = Read_snapshot.entry_of_slice (Read_snapshot.slice snap tag)
+
+(* [anc//desc] over [snap], windowed by [pool]'s chunks (the whole
+   range without one). *)
+let join_descendants pool snap ~anc ~desc =
+  let a = entry snap anc and d = entry snap desc in
+  if a.Label_index.len = 0 || d.Label_index.len = 0 then ([], 0)
+  else
+    let ws, comparisons = semi_join pool ~with_anc:false a d in
+    (ids d ws, comparisons)
+
+let whole_descendants snap ~anc ~desc = join_descendants None snap ~anc ~desc
+
+let run ?counters snap ~name ~attrs body =
+  Read_snapshot.ensure_fresh snap;
+  Span.with_ ~name ~attrs (fun () ->
+      let ids, comparisons = body () in
+      note ?counters comparisons;
+      ids)
+
+let descendants ?counters pool snap ~anc ~desc =
+  run ?counters snap ~name:"par_query.descendants"
+    ~attrs:[ ("anc", anc); ("desc", desc) ]
+    (fun () -> join_descendants (Some pool) snap ~anc ~desc)
 
 let children ?counters pool snap ~parent ~child =
-  Read_snapshot.ensure_fresh snap;
-  Span.with_ ~name:"par_query.children"
-    ~attrs:[ ("parent", parent); ("child", child) ] (fun () ->
-      let pa = Read_snapshot.slice snap parent in
-      let a = Read_snapshot.entry_of_slice pa in
-      let d = Read_snapshot.slice snap child in
-      if d.s_len = 0 || pa.s_len = 0 then []
+  run ?counters snap ~name:"par_query.children"
+    ~attrs:[ ("parent", parent); ("child", child) ]
+    (fun () ->
+      let pa = Read_snapshot.slice snap parent
+      and ch = Read_snapshot.slice snap child in
+      let a = Read_snapshot.entry_of_slice pa
+      and d = Read_snapshot.entry_of_slice ch in
+      if a.Label_index.len = 0 || d.Label_index.len = 0 then ([], 0)
       else begin
-        let chunk = chunk_for pool d.s_len in
-        let buffers = Array.make ((d.s_len + chunk - 1) / chunk) [] in
-        let comparisons =
-          chunked pool d.s_len ~chunk (fun ci lo hi local ->
-              let out = ref [] in
-              Query.array_join local a (sub_entry d lo hi)
-                ~emit:(fun apos dpos ->
-                  if
-                    Column.get d.s_levels (lo + dpos)
-                    = Column.get pa.s_levels apos + 1
-                  then out := Column.get d.s_ids (lo + dpos) :: !out);
-              buffers.(ci) <- !out)
-        in
-        note ?counters comparisons;
-        List.sort_uniq Int.compare (List.concat (Array.to_list buffers))
+        let ws, comparisons = semi_join (Some pool) ~with_anc:true a d in
+        Query.child_ids ~row:Fun.id
+          ~level:(Column.get ch.Read_snapshot.s_levels)
+          ~id:(Column.get ch.Read_snapshot.s_ids)
+          ~alevel:(Column.get pa.Read_snapshot.s_levels)
+          ws;
+        (Query.sorted_ids ws, comparisons)
       end)
 
 let descendants_inl ?counters pool snap ~anc ~desc =
-  Read_snapshot.ensure_fresh snap;
-  Span.with_ ~name:"par_query.descendants_inl"
-    ~attrs:[ ("anc", anc); ("desc", desc) ] (fun () ->
-      let a = Read_snapshot.slice snap anc in
-      let d = Read_snapshot.entry_of_slice (Read_snapshot.slice snap desc) in
-      let dids = (Read_snapshot.slice snap desc).s_ids in
-      if a.s_len = 0 || d.Label_index.len = 0 then []
-      else begin
-        let chunk = chunk_for pool a.s_len in
-        let buffers = Array.make ((a.s_len + chunk - 1) / chunk) [] in
-        let comparisons =
-          chunked pool a.s_len ~chunk (fun ci lo hi local ->
-              let out = ref [] in
-              for apos = lo to hi - 1 do
-                let astart = Column.get a.s_starts apos
-                and aend = Column.get a.s_ends apos in
-                let i = ref (Label_index.upper_bound local d astart) in
-                let scanning = ref true in
-                while !scanning && !i < d.Label_index.len do
-                  Counters.add_comparison local 1;
-                  if Column.get d.Label_index.starts !i < aend then begin
-                    out := Column.get dids !i :: !out;
-                    incr i
-                  end
-                  else scanning := false
-                done
-              done;
-              buffers.(ci) <- !out)
-        in
-        note ?counters comparisons;
-        List.sort_uniq Int.compare (List.concat (Array.to_list buffers))
-      end)
-
-(* One path step: join the accumulated entry against the next tag's
-   slice, producing the matched sub-slice as a fresh entry whose [rids]
-   carry Dom ids (adjacent duplicates collapsed, ascending starts) —
-   the parallel twin of [Query.join_to_entry]. *)
-let step_entry pool (acc : Label_index.entry) (d : Read_snapshot.slice)
-    comparisons_acc =
-  if d.s_len = 0 || acc.Label_index.len = 0 then
-    { Label_index.starts = empty_col;
-      ends = empty_col;
-      rids = empty_col;
-      len = 0;
-      stamp = -1 }
-  else begin
-    let chunk = chunk_for pool d.s_len in
-    let nchunks = (d.s_len + chunk - 1) / chunk in
-    let buffers = Array.make nchunks [] in
-    let lens = Array.make nchunks 0 in
-    let comparisons =
-      chunked pool d.s_len ~chunk (fun ci lo hi local ->
-          let out = ref [] in
-          let n = ref 0 in
-          let last = ref (-1) in
-          Query.array_join local acc (sub_entry d lo hi)
-            ~emit:(fun _ dpos ->
-              if dpos <> !last then begin
-                last := dpos;
-                out := (lo + dpos) :: !out;
-                incr n
-              end);
-          buffers.(ci) <- !out;
-          lens.(ci) <- !n)
-    in
-    comparisons_acc := !comparisons_acc + comparisons;
-    let total = Array.fold_left ( + ) 0 lens in
-    let starts = Column.create ~capacity:(max 1 total) ()
-    and ends = Column.create ~capacity:(max 1 total) ()
-    and rids = Column.create ~capacity:(max 1 total) () in
-    (* Fill back-to-front per chunk: each buffer is reversed. *)
-    let pos = ref total in
-    for ci = nchunks - 1 downto 0 do
-      List.iter
-        (fun dpos ->
-          decr pos;
-          Column.set starts !pos (Column.get d.s_starts dpos);
-          Column.set ends !pos (Column.get d.s_ends dpos);
-          Column.set rids !pos (Column.get d.s_ids dpos))
-        buffers.(ci)
-    done;
-    Column.set_len starts total;
-    Column.set_len ends total;
-    Column.set_len rids total;
-    { Label_index.starts; ends; rids; len = total; stamp = -1 }
-  end
+  run ?counters snap ~name:"par_query.descendants_inl"
+    ~attrs:[ ("anc", anc); ("desc", desc) ]
+    (fun () ->
+      let a = entry snap anc and d = entry snap desc in
+      if a.Label_index.len = 0 || d.Label_index.len = 0 then ([], 0)
+      else
+        let ws, comparisons = inl (Some pool) a d in
+        (ids d ws, comparisons))
 
 let path ?counters pool snap tags =
-  match tags with
-  | [] -> []
-  | first :: rest ->
-    Read_snapshot.ensure_fresh snap;
-    Span.with_ ~name:"par_query.path"
-      ~attrs:[ ("steps", string_of_int (1 + List.length rest)) ] (fun () ->
+  run ?counters snap ~name:"par_query.path"
+    ~attrs:[ ("steps", string_of_int (List.length tags)) ]
+    (fun () ->
+      match tags with
+      | [] -> ([], 0)
+      | first :: rest ->
         let comparisons = ref 0 in
-        let final =
-          List.fold_left
-            (fun acc tag ->
-              step_entry pool acc (Read_snapshot.slice snap tag) comparisons)
-            (Read_snapshot.entry_of_slice (Read_snapshot.slice snap first))
-            rest
+        let step (acc : Label_index.entry) tag =
+          if acc.len = 0 then acc
+          else begin
+            let d = entry snap tag in
+            let ws, c = semi_join (Some pool) ~with_anc:false acc d in
+            comparisons := !comparisons + c;
+            Query.gather_entry d ws.Label_index.w_out
+          end
         in
-        note ?counters !comparisons;
-        let out = ref [] in
-        for i = final.Label_index.len - 1 downto 0 do
-          out := Column.get final.Label_index.rids i :: !out
-        done;
-        List.sort_uniq Int.compare !out)
+        let final = List.fold_left step (entry snap first) rest in
+        ( List.sort Int.compare
+            (List.init final.Label_index.len
+               (Column.get final.Label_index.rids)),
+          !comparisons ))
 
-(* Batched execution: one task per query, each run serially inside its
-   worker — the shape benchmarked by BENCH_parallel.json. *)
+(* Batched execution: one task per query, each the whole-range plan in
+   its worker — the shape benchmarked by BENCH_parallel.json. *)
 let descendants_batch ?counters pool snap queries =
   Read_snapshot.ensure_fresh snap;
   Span.with_ ~name:"par_query.descendants_batch"
     ~attrs:[ ("queries", string_of_int (Array.length queries)) ] (fun () ->
-      let comps = Array.make (max 1 (Array.length queries)) 0 in
       let results =
         Pool.map ~chunk:1 pool
-          (fun (i, (anc, desc)) ->
-            let local = Counters.create () in
-            let a = Read_snapshot.entry_of_slice (Read_snapshot.slice snap anc) in
-            let d = Read_snapshot.slice snap desc in
-            let out = ref [] in
-            let last = ref (-1) in
-            Query.array_join local a
-              (Read_snapshot.entry_of_slice d)
-              ~emit:(fun _ dpos ->
-                if dpos <> !last then begin
-                  last := dpos;
-                  out := Column.get d.s_ids dpos :: !out
-                end);
-            comps.(i) <- Counters.comparisons local;
-            List.sort_uniq Int.compare !out)
-          (Array.mapi (fun i q -> (i, q)) queries)
+          (fun (anc, desc) -> whole_descendants snap ~anc ~desc)
+          queries
       in
-      note ?counters (Array.fold_left ( + ) 0 comps);
-      results)
+      note ?counters (Array.fold_left (fun n (_, c) -> n + c) 0 results);
+      Array.map fst results)

@@ -1,13 +1,15 @@
-(** Parallel structural-join plans over a frozen {!Read_snapshot}.
+(** Structural-join plans over a frozen {!Read_snapshot}.
 
-    Each plan shards the output-driving join input into fixed chunks,
-    fans the chunks across a {!Pool}, and concatenates per-chunk emit
-    buffers in chunk order, so results are element-for-element
-    identical to the serial plans in {!Ltree_relstore.Query} for every
-    pool size (including 1).  Workers touch only the immutable
-    snapshot and per-chunk scratch counters.
+    Every plan runs the one kernel of {!Ltree_relstore.Query} over
+    windows of its output-driving input: pool chunks for the parallel
+    plans below, the snapshot's whole range for {!whole_descendants}.  Window
+    outputs are concatenated in window order, so results are
+    element-for-element identical to the serial plans in
+    {!Ltree_relstore.Query} for every pool size (including 1).  Workers
+    touch only the immutable snapshot and per-window scratch.
 
-    Every plan calls {!Read_snapshot.ensure_fresh} first and therefore
+    Every plan but {!whole_descendants} calls
+    {!Read_snapshot.ensure_fresh} first and therefore
     raises {!Read_snapshot.Stale} rather than answer from outdated
     arrays.  Comparisons are aggregated into [?counters] (when given)
     and into the shared [query_join_comparisons] histogram. *)
@@ -19,13 +21,12 @@ val descendants :
   ?counters:Ltree_metrics.Counters.t ->
   Pool.t -> Read_snapshot.t -> anc:string -> desc:string -> int list
 
-(** Parallel [parent/child] (level-filtered join); equal to
-    [Query.label_children]. *)
+(** Parallel [parent/child]; equal to [Query.label_children]. *)
 val children :
   ?counters:Ltree_metrics.Counters.t ->
   Pool.t -> Read_snapshot.t -> parent:string -> child:string -> int list
 
-(** Parallel index-nested-loop [anc//desc], sharded by ancestors;
+(** Parallel index-nested-loop [anc//desc], windowed by ancestors;
     equal to [Query.label_descendants_inl]. *)
 val descendants_inl :
   ?counters:Ltree_metrics.Counters.t ->
@@ -37,9 +38,18 @@ val path :
   ?counters:Ltree_metrics.Counters.t ->
   Pool.t -> Read_snapshot.t -> string list -> int list
 
+(** [whole_descendants snap ~anc ~desc] is [anc//desc] run serially
+    over [snap]'s whole range — one task of a batch — returning its
+    sorted Dom ids with the comparisons it made (charged nowhere: the
+    caller aggregates them).  It opens no span and does not check
+    freshness: the caller calls {!Read_snapshot.ensure_fresh} once for
+    the batch. *)
+val whole_descendants :
+  Read_snapshot.t -> anc:string -> desc:string -> int list * int
+
 (** [descendants_batch pool snap queries] fans whole queries across the
-    pool (one task per query, each joined serially in its worker) and
-    returns per-query sorted Dom ids, index-aligned with [queries]. *)
+    pool (one {!whole_descendants} task per query) and returns
+    per-query sorted Dom ids, index-aligned with [queries]. *)
 val descendants_batch :
   ?counters:Ltree_metrics.Counters.t ->
   Pool.t -> Read_snapshot.t -> (string * string) array -> int list array

@@ -139,7 +139,7 @@ let tags t =
 let[@ltree.hot] slice t tag =
   try Hashtbl.find t.slices tag with Not_found -> empty_slice
 
-(* An entry view of a slice for the shared array-join code.  The [rids]
+(* An entry view of a slice for the shared join kernel.  The [rids]
    slot carries Dom ids, not row ids: snapshot joins never go back to
    the row table.  Callers must treat the entry as immutable. *)
 let entry_of_slice s =

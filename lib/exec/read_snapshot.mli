@@ -74,7 +74,8 @@ val tags : t -> string list
     the snapshot has never seen. *)
 val slice : t -> string -> slice
 
-(** An entry view of a slice for {!Ltree_relstore.Query.array_join}.
+(** An entry view of a slice for the join kernel
+    ({!Ltree_relstore.Query.semi_join}).
     The entry's [rids] field carries {e Dom ids}; treat it as
     immutable. *)
 val entry_of_slice : slice -> Ltree_relstore.Label_index.entry

@@ -8,6 +8,7 @@ module Counters = Ltree_metrics.Counters
 
 (* Monomorphic comparison prelude (lint rule R2). *)
 let ( = ) : int -> int -> bool = Stdlib.( = )
+let ( <> ) : int -> int -> bool = Stdlib.( <> )
 
 let store_dir = "store"
 
@@ -27,25 +28,43 @@ let grammar =
    results are compared as sorted start-label lists: labels are the
    cross-instance identity. *)
 
-let top_tags ldoc =
-  let counts = Hashtbl.create 16 in
+(* The [anc//desc] pair the check asks of a document: the one with the
+   most matches among ancestors below the root element, so the answer
+   is not empty and the join still has to tell matches from other
+   [desc] elements.  Ties break by name. *)
+let nesting_tags ldoc =
+  let counts = Hashtbl.create 64 in
   (match (Labeled_doc.document ldoc).Dom.root with
    | None -> ()
    | Some root ->
      Dom.iter_preorder root (fun n ->
          match Dom.kind n with
-         | Dom.Element tag ->
-           Hashtbl.replace counts tag
-             (1 + Option.value ~default:0 (Hashtbl.find_opt counts tag))
+         | Dom.Element desc ->
+           (* Each distinct ancestor tag counts once per [desc]. *)
+           let rec up seen a =
+             match (Dom.parent a, Dom.kind a) with
+             | None, _ -> ()
+             | Some p, Dom.Element t
+               when not (List.exists (String.equal t) seen) ->
+               let k = (t, desc) in
+               Hashtbl.replace counts k
+                 (1 + Option.value ~default:0 (Hashtbl.find_opt counts k));
+               up (t :: seen) p
+             | Some p, _ -> up seen p
+           in
+           Option.iter (up []) (Dom.parent n)
          | _ -> ()));
   let ranked =
-    Hashtbl.fold (fun tag n acc -> (tag, n) :: acc) counts []
-    |> List.sort (fun (ta, na) (tb, nb) ->
-           if na = nb then String.compare ta tb else Int.compare nb na)
+    Hashtbl.fold (fun (a, d) n acc -> (n, a, d) :: acc) counts []
+    |> List.sort (fun (na, aa, da) (nb, ab, db) ->
+           if na <> nb then Int.compare nb na
+           else
+             match String.compare aa ab with
+             | 0 -> String.compare da db
+             | c -> c)
   in
   match ranked with
-  | (a, _) :: (b, _) :: _ -> (a, b)
-  | [ (a, _) ] -> (a, a)
+  | (_, a, d) :: _ -> (a, d)
   | [] -> ("missing", "missing")
 
 let start ldoc n = (Labeled_doc.label ldoc n).Labeled_doc.start_pos
@@ -79,7 +98,7 @@ let query_starts ldoc ~anc ~desc =
   else None
 
 let pristine_query ldoc =
-  let anc, desc = top_tags ldoc in
+  let anc, desc = nesting_tags ldoc in
   (anc, desc, query_starts ldoc ~anc ~desc)
 
 let check_query queries _io durable t =
@@ -133,16 +152,23 @@ let eval_cell config script oracle queries ~init_points point mode =
   FM.recover_crashed config ~what:"store" ~dir:store_dir ~sim ~crashed ~point
     ~init_points b ~check:(check_query queries) oracle
 
-let run ?pool ?progress ?only config =
-  let script = FM.generate_script config in
-  (* The oracle pass visits every prefix, so it also records the pristine
-     query answer there. *)
+(* The oracle pass visits every prefix, so it also records the pristine
+   query answer there. *)
+let oracle_and_queries config script =
   let queries = Array.make (config.FM.ops + 1) ("", "", None) in
   let oracle =
     FM.build_oracle
       ~each:(fun k ldoc -> queries.(k) <- pristine_query ldoc)
       (FM.base_ldoc config) script
   in
+  (oracle, queries)
+
+let pristine_queries config =
+  snd (oracle_and_queries config (FM.generate_script config))
+
+let run ?pool ?progress ?only config =
+  let script = FM.generate_script config in
+  let oracle, queries = oracle_and_queries config script in
   (* Profile pass: same workload, no plan — learns the matrix width and
      how many write points initialization itself consumes. *)
   let profile_sim = Fault.create_sim () in

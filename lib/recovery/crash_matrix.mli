@@ -13,9 +13,11 @@
       invariant registry at [Deep]);
     - the durable prefix lies in [[synced, attempted]] — group commit
       may lose unflushed tail operations but never synced ones;
-    - a descendant query over a re-shredded recovered store returns
-      what a DOM walk over the recovered document finds, and what the
-      same query returned over the pristine prefix;
+    - a descendant query [anc//desc] over a re-shredded recovered
+      store returns what a DOM walk over the recovered document finds,
+      and what the same query returned over the pristine prefix — the
+      pair with the most matches below the root at that prefix, so the
+      answer is not empty;
     - total loss of the store is accepted only for crashes before the
       very first checkpoint completed.
 
@@ -26,6 +28,14 @@ type summary = (unit, outcome) Fault_matrix.summary
 
 (** The one site, printed with an empty prefix. *)
 val grammar : unit Fault_matrix.grammar
+
+(** [pristine_queries config] is, per prefix [k] of [config]'s script
+    ([0..ops]), the query the check asks there: [(anc, desc, answer)],
+    the answer the sorted start labels the label plan found over the
+    pristine prefix, or [None] if the plan and the DOM walk disagreed
+    there. *)
+val pristine_queries :
+  Fault_matrix.config -> (string * string * int list option) array
 
 (** [run ?pool ?progress ?only config] sweeps point x mode through
     {!Fault_matrix.sweep}; [only] replays one cell against the same

@@ -345,6 +345,8 @@ type ('site, 'o) summary = {
 
 let ok s = s.failed_cells = 0
 
+exception Cell_out_of_range of string
+
 let sweep ?pool ?progress ?only ?inject ~name g config extents eval =
   if config.ops < 1 then invalid_arg (name ^ ": ops must be >= 1");
   let same_site a b = String.equal (g.prefix a) (g.prefix b) in
@@ -354,13 +356,15 @@ let sweep ?pool ?progress ?only ?inject ~name g config extents eval =
       (match List.find_opt (fun (s, _) -> same_site s site) extents with
        | Some (_, e) when n <= e.points -> ()
        | Some (_, e) ->
-         invalid_arg
-           (Printf.sprintf "%s: --only %s beyond the matrix (%d at that site)"
-              name (cell_name g id) e.points)
+         raise
+           (Cell_out_of_range
+              (Printf.sprintf "%s: --only %s beyond the matrix (%d at that site)"
+                 name (cell_name g id) e.points))
        | None ->
-         invalid_arg
-           (Printf.sprintf "%s: --only %s names no site" name
-              (cell_name g id)));
+         raise
+           (Cell_out_of_range
+              (Printf.sprintf "%s: --only %s names no site" name
+                 (cell_name g id))));
       [| id |]
     | Some id -> [| id |]
     | None ->

@@ -179,6 +179,11 @@ type ('site, 'o) summary = {
 (** [ok s]: every cell verified. *)
 val ok : ('site, 'o) summary -> bool
 
+(** Raised by {!sweep} when [only] names a cell outside the profiled
+    matrix — a range known only after the profile pass.  The message
+    names the cell and the site's extent. *)
+exception Cell_out_of_range of string
+
 (** [sweep ?pool ?progress ?only ?inject ~name g config extents eval]
     runs [eval] once per cell: for every {!Fault.all_modes} mode, every
     site of [extents] and every point [1..points] of it, then every
@@ -191,7 +196,8 @@ val ok : ('site, 'o) summary -> bool
     [--inject-cell-failure].  Each cell notes start/failure events
     (kind ["cell"], name = its coordinate) into {!Ltree_obs.Recorder}
     when recording is on.  Raises [Invalid_argument] (prefixed [name])
-    when [config.ops < 1] or [only] lies outside [extents]. *)
+    when [config.ops < 1], and {!Cell_out_of_range} when [only] lies
+    outside [extents]. *)
 val sweep :
   ?pool:Ltree_exec.Pool.t ->
   ?progress:(done_cells:int -> total:int -> unit) ->

@@ -33,9 +33,18 @@ type jstate = {
 type workspace = {
   w_stack : Column.t;
   w_out : Column.t;
+  w_anc : Column.t;
   w_mark : Column.t;
   w_js : jstate;
 }
+
+let new_workspace ?(out = Column.create ~capacity:256 ())
+    ?(anc = Column.create ~capacity:256 ()) () =
+  { w_stack = Column.create ();
+    w_out = out;
+    w_anc = anc;
+    w_mark = Column.create ();
+    w_js = { js_ai = 0; js_di = 0; js_done = false } }
 
 type stats = { repairs : int; full_rebuilds : int; merged_rows : int }
 
@@ -68,11 +77,7 @@ let create () =
     ins_e = Column.create ~capacity:64 ();
     ins_r = Column.create ~capacity:64 ();
     rmark = Column.create ~capacity:64 ();
-    ws =
-      { w_stack = Column.create ~capacity:64 ();
-        w_out = Column.create ~capacity:256 ();
-        w_mark = Column.create ~capacity:256 ();
-        w_js = { js_ai = 0; js_di = 0; js_done = false } } }
+    ws = new_workspace () }
 
 let generation t = t.generation
 let workspace t = t.ws

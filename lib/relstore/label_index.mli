@@ -37,7 +37,7 @@ type entry = {
   mutable stamp : int;
 }
 
-(** Mutable cursor state for the zero-alloc join spine: the join loop in
+(** Mutable cursor state for the zero-alloc join kernel: the kernel in
     {!Query} keeps its two cursors here instead of in local refs, which
     vanilla OCaml would box. *)
 type jstate = {
@@ -46,14 +46,18 @@ type jstate = {
   mutable js_done : bool;
 }
 
-(** Preallocated query workspace, one per index, reused across queries:
-    [w_stack] holds the open ancestor ends, [w_out] the emitted row ids,
-    [w_mark] is {!Ltree_core.Column.sort_dedup} scratch.  A query's
-    result read from [w_out] is only valid until the next query on the
+(** Scratch and output of one run of the structural-join kernel
+    ({!Query.semi_join}): [w_stack] holds the positions of the open
+    ancestors (innermost last); the kernel writes each matched
+    descendant position to [w_out] and, for the child axis, its
+    innermost open ancestor's position to [w_anc]; [w_mark] is {!Ltree_core.Column.sort_dedup}
+    scratch.  Every index owns one, reused across queries — a result
+    read from its [w_out] is only valid until the next query on the
     same index. *)
 type workspace = {
   w_stack : Ltree_core.Column.t;
   w_out : Ltree_core.Column.t;
+  w_anc : Ltree_core.Column.t;
   w_mark : Ltree_core.Column.t;
   w_js : jstate;
 }
@@ -69,6 +73,13 @@ val stats : t -> stats
 
 (** [workspace t] is [t]'s preallocated query workspace. *)
 val workspace : t -> workspace
+
+(** [new_workspace ?out ?anc ()] is a fresh workspace, for kernel runs
+    that cannot share an index's own (parallel windows, snapshot
+    plans).  [out]/[anc], when given, become its output columns — e.g.
+    views of one window's region of a plan-wide output. *)
+val new_workspace :
+  ?out:Ltree_core.Column.t -> ?anc:Ltree_core.Column.t -> unit -> workspace
 
 (** [generation t] is a monotone stamp bumped by every {!note_change} /
     {!invalidate_all}; equal stamps mean the index saw no change. *)

@@ -155,137 +155,64 @@ let clean_entry pager (store : label_store) tag =
   | e -> e
   | exception Label_index.Dirty -> tag_entry pager store tag
 
-(* The unified array-cursor structural join: both inputs are sorted
-   (start, end, rid) columns; cursors are int indexes; the run-time
-   stack of open ancestors is a pair of growable int arrays (interval
-   end + input position).  When no ancestor is open and the next one
-   starts far ahead, the descendant cursor leaps there by binary search
-   instead of grinding through unmatched rows (the staircase skip).
-   [emit] gets the input positions of each (ancestor, descendant)
-   containment pair; descendant positions arrive in ascending order,
-   duplicates adjacent. *)
-let[@ltree.hot] array_join counters (a : Label_index.entry)
-    (d : Label_index.entry) ~emit =
-  (* [@ltree.cold]: per-call setup — two 16-slot scratch arrays and the
-     stack helpers' closures are the join's only allocations, paid once
-     per join, never per row.  The per-row path below is checked
-     allocation-free by R9 (ltree-analyze). *)
-  let[@ltree.cold] stack_end = ref (Array.make 16 0) in
-  let[@ltree.cold] stack_pos = ref (Array.make 16 0) in
-  let sp = ref 0 in
-  let[@ltree.cold] push apos aend =
-    (if !sp = Array.length !stack_end then
-       begin
-         (* amortized doubling: off the per-row fast path *)
-         let bigger_end = Array.make (2 * !sp) 0
-         and bigger_pos = Array.make (2 * !sp) 0 in
-         Array.blit !stack_end 0 bigger_end 0 !sp;
-         Array.blit !stack_pos 0 bigger_pos 0 !sp;
-         stack_end := bigger_end;
-         stack_pos := bigger_pos
-       end [@ltree.cold]);
-    !stack_end.(!sp) <- aend;
-    !stack_pos.(!sp) <- apos;
-    incr sp
-  in
-  (* Pop open ancestors whose interval closed before [bound].  Stack
-     ends decrease upward (intervals nest), so stopping at the first
-     survivor is enough. *)
-  let[@ltree.cold] pop_closed bound =
-    let closing = ref true in
-    while !closing && !sp > 0 do
-      Counters.add_comparison counters 1;
-      if !stack_end.(!sp - 1) > bound then closing := false else decr sp
-    done
-  in
-  let ai = ref 0 and di = ref 0 in
-  let finished = ref false in
-  while (not !finished) && !di < d.len do
-    let ds = Column.get d.starts !di in
-    (* Open every ancestor that starts before this descendant. *)
-    let opening = ref true in
-    while !opening && !ai < a.len do
-      Counters.add_comparison counters 1;
-      let astart = Column.get a.starts !ai in
-      if astart < ds then begin
-        pop_closed astart;
-        push !ai (Column.get a.ends !ai);
-        incr ai
-      end
-      else opening := false
-    done;
-    pop_closed ds;
-    if !sp > 0 then begin
-      (* Every stacked ancestor contains the descendant's start, and XML
-         intervals nest or are disjoint, so start containment implies
-         full containment — no per-pair end comparison needed (the
-         baseline plan pays one; this is part of the fast path's win). *)
-      for s = 0 to !sp - 1 do
-        emit !stack_pos.(s) !di
-      done;
-      incr di
-    end
-    else if !ai >= a.len then
-      (* No ancestor is open and none remain: nothing further matches. *)
-      finished := true
-    else
-      (* Stack empty, next ancestor starts at or after ds: no descendant
-         before that point has a match — leap over them. *)
-      di :=
-        max (!di + 1)
-          (Label_index.upper_bound counters d (Column.get a.starts !ai))
-  done
+(* {1 The structural-join kernel}
 
-(* {2 The zero-alloc descendants spine}
+   One semi-join serves every label plan — serial, chunked-parallel
+   ({!Ltree_exec.Par_query}) and sharded: both inputs are sorted
+   [(start, end, rid)] entries, and a plan runs the kernel over a
+   {e window} [lo, hi) of descendant positions — the whole range, a
+   pool chunk, or a shard's snapshot.  The open ancestors form a stack
+   of entry positions; XML intervals nest or are disjoint, so their
+   ends decrease upward (popping stops at the first survivor) and start
+   containment implies full containment (no per-pair end comparison).
+   Each matched descendant is written once, ascending, with (when
+   [with_anc]) its {e innermost} open ancestor — its parent, when the
+   parent is an ancestor at all, which is the whole child-axis test.  When no
+   ancestor is open and the next one starts further on, the descendant
+   cursor leaps there by binary search (the staircase skip).  No refs,
+   no closures, no arrays: the cursors live in the workspace's
+   [jstate], the stack and the outputs are reused columns, and R9
+   checks the whole spine allocation-free. *)
 
-   The same join, specialized to the [a//b] result shape (the set of
-   matched descendants) and to the index's preallocated workspace: the
-   cursors live in the workspace's [jstate] record, the open-ancestor
-   stack and the result are reused columns, and each matched descendant
-   is emitted once (so the single emit-side row fetch per match is
-   unchanged from [join_to_entry] + [ids_of_entry]).  No refs, no
-   closures, no arrays: R9 checks every call from this spine
-   allocation-free. *)
-
-let[@ltree.hot] rec pop_closed_col counters stack bound =
+let[@ltree.hot] rec pop_closed counters (a : Label_index.entry) stack bound =
   let sp = Column.length stack in
   if
     sp > 0
     && (Counters.add_comparison counters 1;
-        Column.get stack (sp - 1) <= bound)
+        Column.get a.ends (Column.get stack (sp - 1)) <= bound)
   then begin
     Column.set_len stack (sp - 1);
-    pop_closed_col counters stack bound
+    pop_closed counters a stack bound
   end
 
-let[@ltree.hot] descendants_into counters table (a : Label_index.entry)
-    (d : Label_index.entry) (ws : Label_index.workspace) =
+let[@ltree.hot] semi_join counters ~with_anc (a : Label_index.entry)
+    (d : Label_index.entry) ~lo ~hi (ws : Label_index.workspace) =
   let js = ws.Label_index.w_js in
   let stack = ws.Label_index.w_stack in
-  let out = ws.Label_index.w_out in
   Column.clear stack;
-  Column.clear out;
+  Column.clear ws.Label_index.w_out;
+  if with_anc then Column.clear ws.Label_index.w_anc;
   js.Label_index.js_ai <- 0;
-  js.Label_index.js_di <- 0;
+  js.Label_index.js_di <- lo;
   js.Label_index.js_done <- false;
-  while (not js.Label_index.js_done) && js.Label_index.js_di < d.len do
+  while (not js.Label_index.js_done) && js.Label_index.js_di < hi do
     let ds = Column.get d.starts js.Label_index.js_di in
+    (* Open every ancestor that starts before this descendant. *)
     while
       js.Label_index.js_ai < a.len
       && (Counters.add_comparison counters 1;
           Column.get a.starts js.Label_index.js_ai < ds)
     do
-      pop_closed_col counters stack (Column.get a.starts js.Label_index.js_ai);
-      Column.push stack (Column.get a.ends js.Label_index.js_ai);
+      pop_closed counters a stack (Column.get a.starts js.Label_index.js_ai);
+      Column.push stack js.Label_index.js_ai;
       js.Label_index.js_ai <- js.Label_index.js_ai + 1
     done;
-    pop_closed_col counters stack ds;
-    if Column.length stack > 0 then begin
-      (* Start containment implies full containment (nesting), and the
-         descendant matches no matter how many ancestors are open — one
-         emit, one row fetch. *)
-      Column.push out
-        (Rel_table.get table (Column.get d.rids js.Label_index.js_di)).l_id;
+    pop_closed counters a stack ds;
+    let sp = Column.length stack in
+    if sp > 0 then begin
+      Column.push ws.Label_index.w_out js.Label_index.js_di;
+      if with_anc then
+        Column.push ws.Label_index.w_anc (Column.get stack (sp - 1));
       js.Label_index.js_di <- js.Label_index.js_di + 1
     end
     else if js.Label_index.js_ai >= a.len then js.Label_index.js_done <- true
@@ -293,54 +220,108 @@ let[@ltree.hot] descendants_into counters table (a : Label_index.entry)
       js.Label_index.js_di <-
         max
           (js.Label_index.js_di + 1)
-          (Label_index.upper_bound counters d
+          (Column.upper_bound_sub counters d.starts ~hi
              (Column.get a.starts js.Label_index.js_ai))
   done
 
-(* The full hot plan: clean-entry lookup, zero-alloc join, in-place
-   sort+dedup of the result column.  The returned column is the index
+(* The index-nested-loop plan, the measured alternative to the merge
+   (E8d), over a window [lo, hi) of {e ancestor} positions: for each
+   ancestor, binary-search its start among the descendants and scan its
+   interval, writing each contained descendant position to [out] — once
+   per containing ancestor, so nested ancestors repeat positions.
+   Cheap when the anchors are few and selective; the merge wins once
+   they blanket the document. *)
+let[@ltree.hot] rec inl_scan counters (d : Label_index.entry) aend i out =
+  if
+    i < d.len
+    && (Counters.add_comparison counters 1;
+        Column.get d.starts i < aend)
+  then begin
+    Column.push out i;
+    inl_scan counters d aend (i + 1) out
+  end
+
+let[@ltree.hot] inl counters (a : Label_index.entry) (d : Label_index.entry)
+    ~lo ~hi out =
+  Column.clear out;
+  for apos = lo to hi - 1 do
+    inl_scan counters d (Column.get a.ends apos)
+      (Label_index.upper_bound counters d (Column.get a.starts apos))
+      out
+  done
+
+(* {1 Gathers}
+
+   What a plan does with the kernel's matched positions: turn them into
+   the next path step's entry, or into answer ids. *)
+
+let gather_entry (d : Label_index.entry) out =
+  let n = Column.length out in
+  let col () = Column.create ~capacity:(max 1 n) () in
+  let starts = col () and ends = col () and rids = col () in
+  for i = 0 to n - 1 do
+    let p = Column.get out i in
+    Column.set starts i (Column.get d.starts p);
+    Column.set ends i (Column.get d.ends p);
+    Column.set rids i (Column.get d.rids p)
+  done;
+  Column.set_len starts n;
+  Column.set_len ends n;
+  Column.set_len rids n;
+  { Label_index.starts; ends; rids; len = n; stamp = -1 }
+
+(* The child axis: a match is a child when it sits one level below its
+   innermost open ancestor.  Rewrites the kept matches of [ws] as [id]
+   of their row, in place — one [row] read per match, one [alevel] read
+   per distinct innermost ancestor. *)
+let child_ids ~row ~level ~id ~alevel (ws : Label_index.workspace) =
+  let out = ws.Label_index.w_out and anc = ws.Label_index.w_anc in
+  let n = ref 0 and last = ref (-1) and above = ref 0 in
+  for i = 0 to Column.length out - 1 do
+    let q = Column.get anc i in
+    if q <> !last then begin
+      last := q;
+      above := alevel q + 1
+    end;
+    let r = row (Column.get out i) in
+    if level r = !above then begin
+      Column.set out !n (id r);
+      incr n
+    end
+  done;
+  Column.set_len out !n
+
+let[@ltree.hot] gather_rids (d : Label_index.entry) out =
+  for i = 0 to Column.length out - 1 do
+    Column.set out i (Column.get d.rids (Column.get out i))
+  done
+
+(* Serial entries carry row ids: rewrite matched positions of [d] as Dom
+   ids in place, fetching each row once (the emit-side page reads). *)
+let[@ltree.hot] fetch_ids table (d : Label_index.entry) out =
+  for i = 0 to Column.length out - 1 do
+    Column.set out i
+      (Rel_table.get table (Column.get d.rids (Column.get out i))).l_id
+  done
+
+let sorted_ids (ws : Label_index.workspace) =
+  Column.sort_dedup ws.Label_index.w_out ~mark:ws.Label_index.w_mark;
+  Column.to_list ws.Label_index.w_out
+
+(* {1 The serial plans} *)
+
+(* The full hot plan: clean-entry lookup, the kernel over the whole
+   range, the in-place id tail.  The returned column is the index
    workspace's — borrowed until the next query on the same store. *)
 let label_descendants_hot pager (store : label_store) ~anc ~desc =
   let counters = Pager.counters pager in
   let a = clean_entry pager store anc in
   let d = clean_entry pager store desc in
   let ws = Label_index.workspace store.label_index in
-  descendants_into counters store.label_table a d ws;
+  semi_join counters ~with_anc:false a d ~lo:0 ~hi:d.len ws;
+  fetch_ids store.label_table d ws.Label_index.w_out;
   Column.sort_dedup ws.Label_index.w_out ~mark:ws.Label_index.w_mark;
   ws.Label_index.w_out
-
-(* Join two entries into an entry of the matched descendants — the
-   pipelined form used between the steps of a path.  Adjacent-duplicate
-   emissions collapse, and the output inherits ascending start order
-   from the descendant cursor, so no re-sort is ever needed. *)
-let join_to_entry counters (a : Label_index.entry) (d : Label_index.entry) =
-  let cap = max 16 d.len in
-  let out =
-    { Label_index.starts = Column.create ~capacity:cap ();
-      ends = Column.create ~capacity:cap ();
-      rids = Column.create ~capacity:cap ();
-      len = 0;
-      stamp = 0 }
-  in
-  let last = ref (-1) in
-  array_join counters a d ~emit:(fun _ dpos ->
-      if dpos <> !last then begin
-        last := dpos;
-        Column.push out.Label_index.starts (Column.get d.starts dpos);
-        Column.push out.Label_index.ends (Column.get d.ends dpos);
-        Column.push out.Label_index.rids (Column.get d.rids dpos)
-      end);
-  out.Label_index.len <- Column.length out.Label_index.starts;
-  out
-
-(* Map an entry's rows to sorted Dom ids, fetching each row once (the
-   emit-side page reads, as in the index-nested-loop plan). *)
-let ids_of_entry (store : label_store) (e : Label_index.entry) =
-  let out = ref [] in
-  for i = 0 to e.len - 1 do
-    out := (Rel_table.get store.label_table (Column.get e.rids i)).l_id :: !out
-  done;
-  List.sort Int.compare !out
 
 let label_descendants pager store ~anc ~desc =
   let counters = Pager.counters pager in
@@ -356,12 +337,17 @@ let label_children pager store ~parent ~child =
     ~on_close:observe_join (fun () ->
       let a = tag_entry pager store parent in
       let d = tag_entry pager store child in
-      let out = ref [] in
-      array_join counters a d ~emit:(fun apos dpos ->
-          let arow = Rel_table.get store.label_table (Column.get a.rids apos) in
-          let drow = Rel_table.get store.label_table (Column.get d.rids dpos) in
-          if drow.l_level = arow.l_level + 1 then out := drow.l_id :: !out);
-      List.sort_uniq Int.compare !out)
+      let ws = Label_index.workspace store.label_index in
+      semi_join counters ~with_anc:true a d ~lo:0 ~hi:d.len ws;
+      let row (e : Label_index.entry) p =
+        Rel_table.get store.label_table (Column.get e.rids p)
+      in
+      child_ids ~row:(row d)
+        ~level:(fun r -> r.l_level)
+        ~id:(fun r -> r.l_id)
+        ~alevel:(fun q -> (row a q).l_level)
+        ws;
+      sorted_ids ws)
 
 let label_path pager store = function
   | [] -> []
@@ -370,20 +356,21 @@ let label_path pager store = function
     Span.with_ ~name:"query.path" ~counters
       ~attrs:[ ("steps", string_of_int (1 + List.length rest)) ]
       ~on_close:observe_join (fun () ->
-        let final =
-          List.fold_left
-            (fun acc tag ->
-              join_to_entry counters acc (tag_entry pager store tag))
-            (tag_entry pager store first)
-            rest
+        let ws = Label_index.workspace store.label_index in
+        let step acc tag =
+          let d = tag_entry pager store tag in
+          semi_join counters ~with_anc:false acc d ~lo:0 ~hi:d.len ws;
+          gather_entry d ws.Label_index.w_out
         in
-        ids_of_entry store final)
+        let final = List.fold_left step (tag_entry pager store first) rest in
+        let out = ws.Label_index.w_out in
+        Column.clear out;
+        for i = 0 to final.len - 1 do
+          Column.push out i
+        done;
+        fetch_ids store.label_table final out;
+        sorted_ids ws)
 
-(* The index-nested-loop plan over the same incremental index: for each
-   ancestor, binary-search the descendant entry and scan its interval.
-   Cheap when the anchors are few and selective (reads proportional to
-   the matches); the merge join wins once they blanket the document —
-   the E8d crossover. *)
 let label_descendants_inl pager store ~anc ~desc =
   let counters = Pager.counters pager in
   Span.with_ ~name:"query.descendants_inl" ~counters
@@ -391,25 +378,9 @@ let label_descendants_inl pager store ~anc ~desc =
     ~on_close:observe_join (fun () ->
       let a = tag_entry pager store anc in
       let d = tag_entry pager store desc in
-      let out = ref [] in
-      for apos = 0 to a.len - 1 do
-        let astart = Column.get a.starts apos
-        and aend = Column.get a.ends apos in
-        let i = ref (Label_index.upper_bound counters d astart) in
-        let scanning = ref true in
-        while !scanning && !i < d.len do
-          Counters.add_comparison counters 1;
-          if Column.get d.starts !i < aend then begin
-            (* XML intervals nest, so start containment implies full
-               containment. *)
-            out :=
-              (Rel_table.get store.label_table (Column.get d.rids !i)).l_id
-              :: !out;
-            incr i
-          end
-          else scanning := false
-        done
-      done;
-      List.sort_uniq Int.compare !out)
+      let ws = Label_index.workspace store.label_index in
+      inl counters a d ~lo:0 ~hi:a.len ws.Label_index.w_out;
+      fetch_ids store.label_table d ws.Label_index.w_out;
+      sorted_ids ws)
 
 let index_stats (store : label_store) = Label_index.stats store.label_index

@@ -15,17 +15,16 @@ val edge_descendants :
     structural join over the incremental per-tag label index
     ({!Label_index}): both inputs come back as sorted [(start, end,
     row id)] arrays — rebuilt on first access, merge-repaired after
-    updates — and are joined by the array-cursor stack join
-    (interval-containment comparisons counted on the pager's
-    counters). *)
+    updates — and are joined by {!semi_join} (interval-containment
+    comparisons counted on the pager's counters). *)
 val label_descendants :
   Pager.t -> Shredder.label_store -> anc:string -> desc:string -> int list
 
 (** [label_descendants_hot pager store ~anc ~desc] is the same plan
     stripped to its zero-allocation spine: clean-entry lookup (falling
-    back to repair only when the index is dirty), the specialized
-    column join writing matched Dom ids into the index's preallocated
-    workspace, and an in-place sort+dedup.  In steady state (clean
+    back to repair only when the index is dirty), {!semi_join} over the
+    index's preallocated workspace, and the matched rows' Dom ids
+    sorted and deduplicated in place.  In steady state (clean
     index, warm workspace and buffer pool) a call allocates nothing on
     the minor heap — the claim [make analyze] (R9) checks statically
     and [exp_query] asserts dynamically.  The returned column is
@@ -86,13 +85,52 @@ val index_stats : Shredder.label_store -> Label_index.stats
 val tag_entry :
   Pager.t -> Shredder.label_store -> string -> Label_index.entry
 
-(** [array_join counters a d ~emit] is the array-cursor stack join over
-    two sorted entries: [emit apos dpos] fires for every containment
-    pair, descendant positions ascending with duplicates adjacent.
-    Exposed for executors that join frozen snapshot slices. *)
-val array_join :
-  Ltree_metrics.Counters.t ->
-  Label_index.entry ->
-  Label_index.entry ->
-  emit:(int -> int -> unit) ->
-  unit
+(** {1 The structural-join kernel}
+
+    Every label plan — these serial ones, the chunked-parallel and
+    sharded plans in [lib/exec] and [lib/shard] — runs the same kernel
+    over a window of its output-driving input, then one of the gathers
+    below. *)
+
+(** [semi_join counters ~with_anc a d ~lo ~hi ws] joins ancestor entry
+    [a] with descendant positions [\[lo, hi)] of [d] (both sorted by
+    start): every descendant in the window that some [a] interval
+    contains is written once, ascending, to [ws.w_out], and, when
+    [with_anc] (the child axis needs it), the position of its innermost
+    containing ancestor to [ws.w_anc]; otherwise [w_anc] is left
+    untouched.  Comparisons are charged to [counters].  Allocation-free
+    in steady state (R9). *)
+val semi_join :
+  Ltree_metrics.Counters.t -> with_anc:bool -> Label_index.entry ->
+  Label_index.entry -> lo:int -> hi:int -> Label_index.workspace -> unit
+
+(** [inl counters a d ~lo ~hi out] is the index-nested-loop body over
+    {e ancestor} positions [\[lo, hi)] of [a]: for each, binary-search
+    [d] and write every contained descendant position to [out] (cleared
+    first) — once per containing ancestor, so positions may repeat. *)
+val inl :
+  Ltree_metrics.Counters.t -> Label_index.entry -> Label_index.entry ->
+  lo:int -> hi:int -> Ltree_core.Column.t -> unit
+
+(** [gather_entry d out] is a fresh entry of [d]'s rows at positions
+    [out] (ascending positions give ascending starts) — the next path
+    step's input. *)
+val gather_entry : Label_index.entry -> Ltree_core.Column.t -> Label_index.entry
+
+(** [child_ids ~row ~level ~id ~alevel ws] keeps, in place, the matches
+    of [ws] that sit one level below their innermost open ancestor — the
+    child axis — and rewrites each as [id (row p)].  [row p] reads
+    descendant position [p] once; [alevel q] is the depth of ancestor
+    position [q], read once per distinct innermost ancestor. *)
+val child_ids :
+  row:(int -> 'r) -> level:('r -> int) -> id:('r -> int) ->
+  alevel:(int -> int) -> Label_index.workspace -> unit
+
+(** [sorted_ids ws] sorts and deduplicates [ws.w_out] in place and
+    returns it as a list — the tail of the list-returning plans. *)
+val sorted_ids : Label_index.workspace -> int list
+
+(** [gather_rids d out] rewrites each position of [d] in [out] as that
+    row's [rids] value, in place: row ids for live entries, Dom ids for
+    snapshot entries. *)
+val gather_rids : Label_index.entry -> Ltree_core.Column.t -> unit

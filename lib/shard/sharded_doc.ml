@@ -1,10 +1,8 @@
 module Dom = Ltree_xml.Dom
 module Labeled_doc = Ltree_doc.Labeled_doc
 module Journal = Ltree_doc.Journal
-module Column = Ltree_core.Column
 module Pager = Ltree_relstore.Pager
 module Shredder = Ltree_relstore.Shredder
-module Query = Ltree_relstore.Query
 module Label_sync = Ltree_relstore.Label_sync
 module Counters = Ltree_metrics.Counters
 module Fault = Ltree_recovery.Fault
@@ -411,50 +409,29 @@ let path ?counters ?within t pool tags =
 
 (* The batch plan fans {e shard x query} tasks across the pool in one
    [Pool.map], so a hot query no longer serializes on one shard's
-   index: each task serially joins one query over one frozen shard
-   snapshot (the {!Par_query.descendants_batch} shape), and tasks on
-   different shards touch disjoint snapshots.  Local->router id
-   translation happens after the barrier, on the calling domain — the
-   identity maps are plain hash tables and never cross domains. *)
+   index: each task is {!Par_query.whole_descendants}, the kernel over
+   one frozen shard snapshot's whole range, and tasks on different
+   shards touch disjoint snapshots.  Local->router id translation happens after the
+   barrier, on the calling domain — the identity maps are plain hash
+   tables and never cross domains. *)
 let descendants_batch ?within t pool queries =
   let ps = Array.of_list (routed ?within t) in
   let snaps = Array.map (fun p -> shard_snapshot t.shards.(p)) ps in
   let nq = Array.length queries in
-  let tasks =
-    Array.init
-      (Array.length ps * nq)
-      (fun i -> (i / nq, i mod nq))
-  in
   let locals =
     Pool.map ~chunk:1 pool
-      (fun (si, qi) ->
-        let snap = snaps.(si) in
-        let anc, desc = queries.(qi) in
-        let local = Counters.create () in
-        let a =
-          Read_snapshot.entry_of_slice (Read_snapshot.slice snap anc)
-        in
-        let d = Read_snapshot.slice snap desc in
-        let out = ref [] in
-        let last = ref (-1) in
-        Query.array_join local a
-          (Read_snapshot.entry_of_slice d)
-          ~emit:(fun _ dpos ->
-            if dpos <> !last then begin
-              last := dpos;
-              out := Column.get d.Read_snapshot.s_ids dpos :: !out
-            end);
-        List.sort_uniq Int.compare !out)
-      tasks
+      (fun i ->
+        let anc, desc = queries.(i mod nq) in
+        fst (Par_query.whole_descendants snaps.(i / nq) ~anc ~desc))
+      (Array.init (Array.length ps * nq) Fun.id)
   in
-  Array.init nq (fun qi ->
-      let ids = ref [] in
-      Array.iteri
-        (fun ti (si, q) ->
-          if q = qi then
-            ids := to_router t.shards.(ps.(si)) locals.(ti) @ !ids)
-        tasks;
-      finish ?within t !ids)
+  let merged = Array.make nq [] in
+  Array.iteri
+    (fun i ids ->
+      let q = i mod nq in
+      merged.(q) <- to_router t.shards.(ps.(i / nq)) ids @ merged.(q))
+    locals;
+  Array.map (finish ?within t) merged
 
 (* {1 Unsharded reference plans}
 

@@ -276,6 +276,109 @@ let stale_payload_carries_stamps () =
       true
       (String.length rendered > 0)
 
+(* {1 The join kernel: windows compose}
+
+   Every plan is the one kernel over windows of its driving input, so
+   the kernel must compose: on random documents, the concatenated
+   outputs of any partition of [0, len) — 1-row windows included — equal
+   the whole-range output, for both axes and for INL, and the answers
+   equal Dom_eval's, which knows nothing of labels. *)
+
+module Column = Ltree_core.Column
+module Prng = Ltree_workload.Prng
+
+let col_list c = List.init (Column.length c) (Column.get_checked c)
+
+(* A random partition of [0, len) into windows, often of one row. *)
+let partition prng len =
+  let rec go lo acc =
+    if lo >= len then List.rev acc
+    else
+      let w = if Prng.bool prng then 1 else 1 + Prng.int prng len in
+      go (min len (lo + w)) ((lo, min len (lo + w)) :: acc)
+  in
+  go 0 []
+
+(* Dom_eval's sorted ids for [//a<sep>b...], [#text] as [text()]. *)
+let dom_ids doc steps =
+  let test t = if String.equal t "#text" then "text()" else t in
+  let path = String.concat "" (List.map (fun (sep, t) -> sep ^ test t) steps) in
+  List.sort Int.compare
+    (List.map Dom.id
+       (Ltree_xpath.Dom_eval.eval doc (Ltree_xpath.Xpath_parser.parse path)))
+
+let kernel_windows_compose () =
+  let prng = Prng.create 11 in
+  let counters = Counters.create () in
+  for seed = 1 to 24 do
+    let doc, ldoc, pager, store =
+      setup_generated ~seed ~nodes:(50 + Prng.int prng 400)
+    in
+    let snap = Read_snapshot.of_store pager store ldoc in
+    let tags =
+      match busy_tags snap with
+      | a :: b :: c :: d :: _ -> [ a; b; c; d ]
+      | ts -> ts
+    in
+    let pair anc desc =
+      let sa = Read_snapshot.slice snap anc
+      and sd = Read_snapshot.slice snap desc in
+      let a = Read_snapshot.entry_of_slice sa
+      and d = Read_snapshot.entry_of_slice sd in
+      let what = Printf.sprintf "seed %d %s//%s" seed anc desc in
+      (* One window's matched positions (the same with or without
+         ancestors), their ancestors, and the Dom ids of the child-axis
+         matches. *)
+      let run lo hi =
+        let ws = Label_index.new_workspace () in
+        Query.semi_join counters ~with_anc:false a d ~lo ~hi ws;
+        let bare = col_list ws.Label_index.w_out in
+        Query.semi_join counters ~with_anc:true a d ~lo ~hi ws;
+        let out = col_list ws.Label_index.w_out
+        and up = col_list ws.Label_index.w_anc in
+        check_same (what ^ ": positions without ancestors") out bare;
+        Query.child_ids ~row:Fun.id
+          ~level:(Column.get sd.Read_snapshot.s_levels)
+          ~id:(Column.get sd.Read_snapshot.s_ids)
+          ~alevel:(Column.get sa.Read_snapshot.s_levels)
+          ws;
+        (out, up, col_list ws.Label_index.w_out)
+      in
+      let out, up, children = run 0 d.Label_index.len in
+      let parts =
+        List.map (fun (lo, hi) -> run lo hi) (partition prng d.Label_index.len)
+      in
+      let cat f = List.concat_map f parts in
+      check_same (what ^ ": windows = whole (positions)") out
+        (cat (fun (o, _, _) -> o));
+      check_same (what ^ ": windows = whole (ancestors)") up
+        (cat (fun (_, u, _) -> u));
+      check_same (what ^ ": windows = whole (children)") children
+        (cat (fun (_, _, c) -> c));
+      let ids ps =
+        List.sort_uniq Int.compare
+          (List.map (Column.get sd.Read_snapshot.s_ids) ps)
+      in
+      let want = dom_ids doc [ ("//", anc); ("//", desc) ] in
+      check_same (what ^ ": descendants = Dom_eval") want (ids out);
+      check_same (what ^ ": children = Dom_eval")
+        (dom_ids doc [ ("//", anc); ("/", desc) ])
+        (List.sort_uniq Int.compare children);
+      let inl lo hi =
+        let out = Column.create () in
+        Query.inl counters a d ~lo ~hi out;
+        col_list out
+      in
+      let inl_whole = inl 0 a.Label_index.len in
+      check_same (what ^ ": INL windows = whole") inl_whole
+        (List.concat_map
+           (fun (lo, hi) -> inl lo hi)
+           (partition prng a.Label_index.len));
+      check_same (what ^ ": INL = Dom_eval") want (ids inl_whole)
+    in
+    List.iter (fun anc -> List.iter (pair anc) tags) tags
+  done
+
 let suite =
   ( "exec",
     [
@@ -288,6 +391,8 @@ let suite =
         stats_account_for_work;
       case "parallel plans == serial plans (seeds x sizes 1/2/4)" `Slow
         parallel_matches_serial;
+      case "kernel windows compose, both axes and INL = Dom_eval" `Quick
+        kernel_windows_compose;
       case "stale snapshots refuse, refresh rebuilds" `Quick
         staleness_detected;
       case "2-domain mutate/flush/refresh stress" `Slow mutate_refresh_stress;

@@ -94,9 +94,36 @@ let cell_names () =
       [ ""; "P37"; "P37torn"; "P0/torn"; "P-1/torn"; "P+3/torn"; "P03/torn";
         "P/torn"; "P3/bogus"; "C3/torn"; "primary:P3/torn"; "S1/P3/torn" ]
 
+(* A cell past the profiled matrix is a typed error from the engine, and
+   a usage error (exit 2, no uncaught exception) from every CLI that
+   takes [--only]. *)
+let only_out_of_range () =
+  let raises what g name run =
+    match run (Option.get (FM.parse_cell g name)) with
+    | (_ : (_, _) FM.summary) -> Alcotest.failf "%s: swept %s" what name
+    | exception FM.Cell_out_of_range _ -> ()
+  in
+  raises "store" Crash_matrix.grammar "P9999/torn" (fun only ->
+      Crash_matrix.run ~only store_config);
+  raises "shard" (Shard_matrix.grammar ~shards:2) "S1/P9999/torn"
+    (fun only -> Shard_matrix.run ~only ~shards:2 shard_config);
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/ltree_cli.exe"
+  in
+  List.iter
+    (fun args ->
+      Alcotest.(check int) ("ltree " ^ args) 2
+        (Sys.command
+           (Filename.quote cli ^ " " ^ args
+          ^ " --ops 3 --nodes 20 > /dev/null 2>&1")))
+    [ "crash-matrix --only P999/torn";
+      "crash-matrix --replica --only primary:P999/torn";
+      "shard-matrix --shards 2 --only S1/P9999/torn" ]
+
 let suite =
   ( "fault_matrix",
     [ case "store: pool sweep equals serial" `Quick store_sweep;
       case "replica: pool sweep equals serial" `Quick replica_sweep;
       case "shard: pool sweep equals serial" `Quick shard_sweep;
-      case "store cell names parse back" `Quick cell_names ] )
+      case "store cell names parse back" `Quick cell_names;
+      case "--only past the matrix is a usage error" `Quick only_out_of_range ] )

@@ -284,6 +284,18 @@ let quick_crash_matrix () =
     (List.length s.Fault_matrix.cells);
   Alcotest.(check bool) "matrix is not trivial" true (points > 20)
 
+(* The query check must bite on every prefix: at defaults each
+   pristine answer agrees with the DOM walk and is non-empty. *)
+let crash_matrix_queries_bite () =
+  Array.iteri
+    (fun k (anc, desc, answer) ->
+      match answer with
+      | None ->
+        Alcotest.failf "prefix %d: %s//%s plan and DOM walk disagree" k anc desc
+      | Some [] -> Alcotest.failf "prefix %d: %s//%s matches nothing" k anc desc
+      | Some (_ :: _) -> ())
+    (Crash_matrix.pristine_queries Fault_matrix.default_config)
+
 (* {1 Fuzzing}
 
    Seeded random mutations of every serialized format.  The property is
@@ -429,6 +441,8 @@ let suite =
       case "bit flip caught by record checksum" `Quick bitflip_detected;
       case "unresolvable anchor is typed" `Quick replay_error_typed;
       case "quick crash matrix" `Quick quick_crash_matrix;
+      case "crash matrix queries never empty at defaults" `Quick
+        crash_matrix_queries_bite;
       case "fuzz: journal codec (300 mutations)" `Quick fuzz_journal_codec;
       case "fuzz: snapshot codec (300 mutations)" `Quick
         fuzz_snapshot_codec;
